@@ -376,7 +376,7 @@ func printDegraded(out io.Writer, rec *trace.Recorder, horizon float64, workers,
 		if scope != "" {
 			r = rec.Child(scope)
 		}
-		events := r.Events()
+		events := r.View()
 		ivs := latency.DegradedIntervals(events, horizon)
 		if len(ivs) == 0 {
 			continue
@@ -658,7 +658,7 @@ func loadRecording(path string) (*trace.Recorder, error) {
 // lastEventTime finds the recording's latest timestamp across scopes.
 func lastEventTime(rec *trace.Recorder) float64 {
 	var last float64
-	for _, e := range rec.Events() {
+	for _, e := range rec.View() {
 		if e.T > last {
 			last = e.T
 		}

@@ -121,7 +121,7 @@ func OverprovisionTraceCheck(spares, replicas int) (des, fromTrace float64, err 
 	horizon := c.Duration.Seconds()
 	for r, s := range all {
 		des += s.Availability
-		events := rec.Child(fmt.Sprintf("r%03d", r)).Events()
+		events := rec.Child(fmt.Sprintf("r%03d", r)).View()
 		fromTrace += latency.AvailabilityFromTrace(events, c.Workers, c.NeedWorkers, horizon)
 	}
 	n := float64(len(all))

@@ -105,8 +105,8 @@ func (f Frame) Completed() bool {
 
 // sefiWindow is one reconstructed SEFI hang on one node.
 type sefiWindow struct {
-	node       int
 	start, end float64
+	cause      string
 }
 
 // Decompose reconstructs per-frame lineages from one scope's events
@@ -122,7 +122,7 @@ func DecomposeAll(rec *trace.Recorder) []Frame {
 	if rec == nil {
 		return nil
 	}
-	out = append(out, decompose("", rec.Events())...)
+	out = append(out, decompose("", rec.View())...)
 	for _, name := range rec.Scopes() {
 		out = append(out, DecomposeAllScoped(rec.Child(name), name)...)
 	}
@@ -135,43 +135,86 @@ func DecomposeAllScoped(rec *trace.Recorder, prefix string) []Frame {
 	if rec == nil {
 		return nil
 	}
-	out := decompose(prefix, rec.Events())
+	out := decompose(prefix, rec.View())
 	for _, name := range rec.Scopes() {
 		out = append(out, DecomposeAllScoped(rec.Child(name), prefix+"/"+name)...)
 	}
 	return out
 }
 
+// decompose runs in two passes. The first numbers the frames and
+// counts each one's events, so every frame's timeline can be carved
+// from one backing array in ID order; the second replays the events
+// through each frame's stage machine.
 func decompose(scope string, events []trace.Event) []Frame {
+	var (
+		slot   = make([]int32, len(events)) // frame number per event, -1 if frame-less
+		number = map[int64]int32{}
+		ids    []int64
+		counts []int32
+		total  int
+	)
+	for i := range events {
+		id := events[i].Frame
+		if id == 0 {
+			slot[i] = -1
+			continue
+		}
+		j, ok := number[id]
+		if !ok {
+			j = int32(len(ids))
+			number[id] = j
+			ids = append(ids, id)
+			counts = append(counts, 0)
+		}
+		slot[i] = j
+		counts[j]++
+		total++
+	}
+	byID := make([]int32, len(ids))
+	for j := range byID {
+		byID[j] = int32(j)
+	}
+	sort.Slice(byID, func(a, b int) bool { return ids[byID[a]] < ids[byID[b]] })
+	rank := make([]int32, len(ids))
+	out := make([]Frame, len(ids))
+	backing := make([]trace.Event, total)
+	off := 0
+	for r, j := range byID {
+		rank[j] = int32(r)
+		n := int(counts[j])
+		out[r] = Frame{ID: ids[j], Scope: scope, Outcome: "in-flight",
+			Events: backing[off : off : off+n]}
+		off += n
+	}
+
 	type fstate struct {
-		frame *Frame
 		stage Stage
 		last  float64
 		open  bool // between capture and terminal event
 		node  int  // current worker while computing
 	}
-	var (
-		byID  = map[int64]*fstate{}
-		order []int64
-		sefis []sefiWindow
-	)
-	for _, e := range events {
+	states := make([]fstate, len(out))
+	for i := range states {
+		states[i].node = -1
+	}
+	sefis := map[int][]sefiWindow{} // by node
+	for i := range events {
+		e := &events[i]
 		// Reconstruct SEFI windows for compute-stall attribution.
 		if e.Kind == trace.SEFIStart {
-			sefis = append(sefis, sefiWindow{node: e.Node, start: e.T, end: e.T + e.Dur})
+			sefis[e.Node] = append(sefis[e.Node], sefiWindow{start: e.T, end: e.T + e.Dur,
+				cause: fmt.Sprintf("sefi#%d", e.Node)})
 		}
-		if e.Frame == 0 {
+		if slot[i] < 0 {
 			continue
 		}
-		st, ok := byID[e.Frame]
-		if !ok {
-			st = &fstate{frame: &Frame{ID: e.Frame, Scope: scope, Captured: e.T,
-				Outcome: "in-flight"}, node: -1}
-			byID[e.Frame] = st
-			order = append(order, e.Frame)
+		r := rank[slot[i]]
+		f, st := &out[r], &states[r]
+		if len(f.Events) == 0 {
+			f.Captured = e.T
 		}
-		f := st.frame
-		f.Events = append(f.Events, e)
+		f.Events = append(f.Events, *e)
 		if e.Kind == trace.FrameCaptured {
 			st.open, st.last, st.stage = true, e.T, StageQueue
 			f.Captured = e.T
@@ -182,7 +225,7 @@ func decompose(scope string, events []trace.Event) []Frame {
 			// stage the frame was in, then transition.
 			f.Stages[st.stage] += e.T - st.last
 			if st.stage == StageCompute && st.node >= 0 {
-				attributeSEFI(f, sefis, st.node, st.last, e.T)
+				attributeSEFI(f, sefis[st.node], st.last, e.T)
 			}
 			st.last = e.T
 		}
@@ -231,11 +274,6 @@ func decompose(scope string, events []trace.Event) []Frame {
 			f.Done = e.T
 		}
 	}
-	out := make([]Frame, 0, len(order))
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
-		out = append(out, *byID[id].frame)
-	}
 	return out
 }
 
@@ -253,12 +291,13 @@ func addCause(f *Frame, cause string) {
 	f.Causes[i] = cause
 }
 
-// attributeSEFI adds "sefi#<node>" for SEFI windows on the frame's
-// worker overlapping its compute interval.
-func attributeSEFI(f *Frame, sefis []sefiWindow, node int, from, to float64) {
-	for _, w := range sefis {
-		if w.node == node && w.start < to && w.end > from {
-			addCause(f, fmt.Sprintf("sefi#%d", node))
+// attributeSEFI adds "sefi#<node>" when one of the frame's worker's
+// SEFI windows overlaps its compute interval.
+func attributeSEFI(f *Frame, windows []sefiWindow, from, to float64) {
+	for _, w := range windows {
+		if w.start < to && w.end > from {
+			addCause(f, w.cause)
+			return
 		}
 	}
 }
@@ -275,7 +314,16 @@ type StageSummary struct {
 // of the set, in stage order, with an extra end-to-end pseudo-stage
 // (Stage == NumStages) last.
 func Summarize(frames []Frame) []StageSummary {
+	completed := 0
+	for i := range frames {
+		if frames[i].Completed() {
+			completed++
+		}
+	}
 	samples := make([][]float64, NumStages+1)
+	for s := range samples {
+		samples[s] = make([]float64, 0, completed)
+	}
 	var grand float64
 	for _, f := range frames {
 		if !f.Completed() {
@@ -335,23 +383,57 @@ func Quantile(sorted []float64, q float64) float64 {
 // TopK returns the k slowest frames by end-to-end latency (completed
 // or not), ties broken by (scope, ID) for determinism.
 func TopK(frames []Frame, k int) []Frame {
-	sorted := append([]Frame(nil), frames...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Total() != sorted[j].Total() {
-			return sorted[i].Total() > sorted[j].Total()
+	k = max(0, min(k, len(frames)))
+	// A bounded selection: heap holds the indices of the k slowest
+	// frames seen so far, the fastest of them at the root.
+	heap := make([]int, k)
+	faster := func(a, b int) bool { return slower(&frames[b], &frames[a]) }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && faster(heap[c+1], heap[c]) {
+				c++
+			}
+			if !faster(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
 		}
-		if sorted[i].Scope != sorted[j].Scope {
-			return sorted[i].Scope < sorted[j].Scope
+	}
+	for i := range heap {
+		heap[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; k > 0 && i < len(frames); i++ {
+		if slower(&frames[i], &frames[heap[0]]) {
+			heap[0] = i
+			down(0)
 		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	if k > len(sorted) {
-		k = len(sorted)
 	}
-	if k < 0 {
-		k = 0
+	sort.Slice(heap, func(a, b int) bool { return slower(&frames[heap[a]], &frames[heap[b]]) })
+	out := make([]Frame, len(heap))
+	for i, j := range heap {
+		out[i] = frames[j]
 	}
-	return sorted[:k]
+	return out
+}
+
+// slower orders frames for TopK: total latency descending, then scope,
+// then ID.
+func slower(a, b *Frame) bool {
+	if a.Total() != b.Total() {
+		return a.Total() > b.Total()
+	}
+	if a.Scope != b.Scope {
+		return a.Scope < b.Scope
+	}
+	return a.ID < b.ID
 }
 
 // Interval is one degraded-operation window reconstructed from the
@@ -379,10 +461,27 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // events, sorted by start time, with per-window stalled-frame counts
 // from the frame decomposition. horizon clips open-ended windows.
 func DegradedIntervals(events []trace.Event, horizon float64) []Interval {
+	out := FaultWindows(events, horizon)
+	counts := map[string]int{}
+	for _, f := range Decompose(events) {
+		for _, c := range f.Causes {
+			counts[c]++
+		}
+	}
+	for i := range out {
+		out[i].FramesStalled = counts[out[i].Cause]
+	}
+	return out
+}
+
+// FaultWindows is DegradedIntervals without the stalled-frame counts
+// (FramesStalled stays 0), so it never decomposes a frame.
+func FaultWindows(events []trace.Event, horizon float64) []Interval {
 	var out []Interval
 	open := map[string]int{} // outage cause -> index in out
 	brownIdx := -1           // open brownout window (at most one fleet-wide)
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Kind {
 		case trace.OutageStart:
 			end := e.T + e.Dur
@@ -432,15 +531,6 @@ func DegradedIntervals(events []trace.Event, horizon float64) []Interval {
 			}
 		}
 	}
-	counts := map[string]int{}
-	for _, f := range Decompose(events) {
-		for _, c := range f.Causes {
-			counts[c]++
-		}
-	}
-	for i := range out {
-		out[i].FramesStalled = counts[out[i].Cause]
-	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
@@ -459,7 +549,8 @@ func AvailabilityFromTrace(events []trace.Event, workers, need int, horizon floa
 		delta int
 	}
 	var edges []edge
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Kind {
 		case trace.NodeDeath:
 			edges = append(edges, edge{e.T, -1})

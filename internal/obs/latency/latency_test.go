@@ -2,6 +2,9 @@ package latency_test
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -228,5 +231,113 @@ func TestDecomposeNilAndEmpty(t *testing.T) {
 	}
 	if got := latency.Decompose(nil); len(got) != 0 {
 		t.Errorf("no events must decompose to no frames, got %d", len(got))
+	}
+}
+
+// topKBySort is TopK's reference: sort a full copy by (total
+// descending, scope, ID) and keep the first k.
+func topKBySort(frames []latency.Frame, k int) []latency.Frame {
+	sorted := append([]latency.Frame(nil), frames...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Total() != sorted[j].Total() {
+			return sorted[i].Total() > sorted[j].Total()
+		}
+		if sorted[i].Scope != sorted[j].Scope {
+			return sorted[i].Scope < sorted[j].Scope
+		}
+		return sorted[i].ID < sorted[j].ID
+	})
+	return sorted[:max(0, min(k, len(sorted)))]
+}
+
+// TestTopKMatchesSortReference compares the bounded selection with the
+// sort-the-copy reference on random frame sets dense in ties: few
+// distinct totals and scopes, so the (scope, ID) tie-break decides
+// most places. IDs are unique within a scope, as DecomposeAll makes
+// them, so the order is total and the outputs must be equal.
+func TestTopKMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	scopes := []string{"", "r000", "r001", "r001/c"}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		frames := make([]latency.Frame, n)
+		for i := range frames {
+			frames[i] = latency.Frame{
+				ID:       int64(i + 1),
+				Scope:    scopes[rng.Intn(len(scopes))],
+				Captured: float64(rng.Intn(3)),
+				Done:     float64(3 + rng.Intn(4)),
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+		in := make([]latency.Frame, n)
+		copy(in, frames)
+		for _, k := range []int{-1, 0, 1, rng.Intn(n + 1), n, n + 5} {
+			got := latency.TopK(frames, k)
+			if want := topKBySort(frames, k); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+				t.Fatalf("trial %d, k=%d of %d: TopK differs from the sort reference", trial, k, n)
+			}
+		}
+		if !reflect.DeepEqual(frames, in) {
+			t.Fatalf("trial %d: TopK modified its input", trial)
+		}
+	}
+	if got := latency.TopK(nil, 3); len(got) != 0 {
+		t.Errorf("TopK of no frames returned %d", len(got))
+	}
+}
+
+// TestDecomposeCarvesOwnTimelines feeds interleaved frames first seen
+// in descending ID order and checks the ID ordering, that each frame's
+// timeline holds exactly its own events in record order, and that the
+// timelines are clipped so appending to one cannot overwrite another.
+func TestDecomposeCarvesOwnTimelines(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var events []trace.Event
+	for i := 0; i < 400; i++ {
+		id := int64(20 - rng.Intn(20))
+		if i%7 == 0 {
+			id = 0 // a frame-less event between frame events
+		}
+		events = append(events, trace.Event{T: float64(i), Kind: trace.ISLSendStart, Frame: id, Node: -1})
+	}
+	frames := latency.Decompose(events)
+	for i, f := range frames {
+		if i > 0 && f.ID <= frames[i-1].ID {
+			t.Fatalf("frames out of ID order: %d after %d", f.ID, frames[i-1].ID)
+		}
+		var want []trace.Event
+		for _, e := range events {
+			if e.Frame == f.ID {
+				want = append(want, e)
+			}
+		}
+		if !reflect.DeepEqual(f.Events, want) {
+			t.Fatalf("frame %d: timeline differs from its own events", f.ID)
+		}
+		if cap(f.Events) != len(f.Events) {
+			t.Fatalf("frame %d: timeline cap %d beyond len %d", f.ID, cap(f.Events), len(f.Events))
+		}
+		if f.Captured != want[0].T {
+			t.Fatalf("frame %d: captured %v, first event at %v", f.ID, f.Captured, want[0].T)
+		}
+	}
+}
+
+// TestFaultWindowsAreDegradedIntervalsWithoutCounts pins the split:
+// FaultWindows is DegradedIntervals with FramesStalled left at zero.
+func TestFaultWindowsAreDegradedIntervalsWithoutCounts(t *testing.T) {
+	rec, _, c := faultedRun(t)
+	want := latency.DegradedIntervals(rec.View(), c.Duration.Seconds())
+	stalled := 0
+	for i := range want {
+		stalled += want[i].FramesStalled
+		want[i].FramesStalled = 0
+	}
+	if stalled == 0 {
+		t.Fatal("fault-heavy run stalled no frames; the test would not tell the two apart")
+	}
+	if got := latency.FaultWindows(rec.View(), c.Duration.Seconds()); !reflect.DeepEqual(got, want) {
+		t.Error("FaultWindows differs from DegradedIntervals without counts")
 	}
 }

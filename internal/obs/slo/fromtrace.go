@@ -42,8 +42,9 @@ func WindowsFromTrace(rec *trace.Recorder, width, horizon float64, workers, need
 	byScope := map[string][]trace.Event{}
 	var walk func(r *trace.Recorder, prefix string)
 	walk = func(r *trace.Recorder, prefix string) {
-		events := r.Events()
-		for _, e := range events {
+		events := r.View()
+		for i := range events {
+			e := &events[i]
 			if e.Kind == trace.FrameCaptured {
 				born[e.Frame] = e.T
 			}
@@ -73,7 +74,8 @@ func WindowsFromTrace(rec *trace.Recorder, width, horizon float64, workers, need
 // (anything but spans and SLO alerts — scopes holding only derived
 // events must not contribute occupancy).
 func hasSimEvents(events []trace.Event) bool {
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Kind != trace.SpanDone && e.Kind != trace.SLOAlert {
 			return true
 		}
@@ -115,7 +117,8 @@ func scopeFragments(events []trace.Event, cell int, width, horizon float64, work
 			ei++
 		}
 	}
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Kind == trace.SpanDone || e.Kind == trace.SLOAlert {
 			continue
 		}
@@ -157,12 +160,12 @@ func scopeFragments(events []trace.Event, cell int, width, horizon float64, work
 
 // scopeEdges compiles a scope's fault and degradation events into a
 // sorted environment-edge timeline. Occupancy intervals come from the
-// latency package's reconstruction (clipped ends, throttle phases with
-// Mult < 1 only); effective-worker deltas mirror the availability
-// cross-check's edge walk.
+// latency package's fault-window reconstruction (clipped ends, throttle
+// phases with Mult < 1 only); effective-worker deltas mirror the
+// availability cross-check's edge walk.
 func scopeEdges(events []trace.Event, horizon float64) []envEdge {
 	var edges []envEdge
-	for _, iv := range latency.DegradedIntervals(events, horizon) {
+	for _, iv := range latency.FaultWindows(events, horizon) {
 		switch iv.Kind {
 		case "throttle":
 			edges = append(edges, envEdge{t: iv.Start, throttle: 1}, envEdge{t: iv.End, throttle: -1})
@@ -172,7 +175,8 @@ func scopeEdges(events []trace.Event, horizon float64) []envEdge {
 			edges = append(edges, envEdge{t: iv.Start, outage: 1}, envEdge{t: iv.End, outage: -1})
 		}
 	}
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Kind {
 		case trace.NodeDeath:
 			edges = append(edges, envEdge{t: e.T, effective: -1})

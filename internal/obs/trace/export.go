@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 )
 
 // MarshalJSON encodes the kind as its stable wire name.
@@ -43,36 +46,140 @@ type Line struct {
 // ascending by name — as one JSON object per line. The output is a
 // pure function of the recorded events, so deterministic recordings
 // export to byte-identical files.
+//
+// Each line is byte-for-byte what json.Encoder writes for a Line
+// (FuzzWriteJSONL pins the two together); the direct appender below
+// skips encoding/json's reflection, which dominated the export cost.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	var err error
+	var (
+		buf = make([]byte, 0, jsonlChunk+1024)
+		err error
+	)
 	r.walk("", func(scope string, events []Event) {
 		if err != nil {
 			return
 		}
-		for _, e := range events {
-			if encErr := enc.Encode(Line{Scope: scope, Event: e}); encErr != nil {
-				err = encErr
+		var prefix []byte
+		if scope != "" {
+			prefix = appendString(append(prefix, `"scope":`...), scope)
+			prefix = append(prefix, ',')
+		}
+		for i := range events {
+			buf = append(append(buf, '{'), prefix...)
+			if buf, err = appendEvent(buf, &events[i]); err != nil {
 				return
+			}
+			buf = append(buf, '}', '\n')
+			if len(buf) >= jsonlChunk {
+				if _, err = w.Write(buf); err != nil {
+					return
+				}
+				buf = buf[:0]
 			}
 		}
 	})
-	if err != nil {
-		return err
+	if err == nil && len(buf) > 0 {
+		_, err = w.Write(buf)
 	}
-	return bw.Flush()
+	return err
 }
+
+// jsonlChunk is the output size WriteJSONL buffers between writes.
+const jsonlChunk = 64 << 10
+
+// appendEvent appends e's JSON members in Event's field order with
+// encoding/json's rules: omitempty fields vanish at their zero value
+// (including -0), and NaN or ±Inf is an error.
+func appendEvent(b []byte, e *Event) ([]byte, error) {
+	if int(e.Kind) >= len(kindNames) {
+		return b, fmt.Errorf("trace: unknown kind %d", uint8(e.Kind))
+	}
+	b, err := appendFloat(append(b, `"t":`...), e.T)
+	if err != nil {
+		return b, err
+	}
+	b = append(append(append(b, `,"k":"`...), kindNames[e.Kind]...), '"')
+	if e.Frame != 0 {
+		b = strconv.AppendInt(append(b, `,"f":`...), e.Frame, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"n":`...), int64(e.Node), 10)
+	if e.N != 0 {
+		b = strconv.AppendInt(append(b, `,"sz":`...), int64(e.N), 10)
+	}
+	if e.Attempt != 0 {
+		b = strconv.AppendInt(append(b, `,"a":`...), int64(e.Attempt), 10)
+	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{`,"b":`, e.Backoff}, {`,"d":`, e.Dur}, {`,"sim":`, e.Sim}, {`,"m":`, e.Mult}} {
+		if f.v != 0 {
+			if b, err = appendFloat(append(b, f.key...), f.v); err != nil {
+				return b, err
+			}
+		}
+	}
+	for _, f := range [...]struct{ key, v string }{
+		{`,"c":`, e.Cause}, {`,"e":`, e.Edge}, {`,"tr":`, e.Tier}, {`,"name":`, e.Name},
+	} {
+		if f.v != "" {
+			b = appendString(append(b, f.key...), f.v)
+		}
+	}
+	return b, nil
+}
+
+// appendFloat formats v as encoding/json does: shortest round-trip
+// digits, in exponent form below 1e-6 and from 1e21 on, with the
+// exponent's leading zero dropped ("1e-07" → "1e-7").
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return b, fmt.Errorf("trace: unsupported value %v", v)
+	}
+	format := byte('f')
+	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendString appends s as a JSON string. Printable ASCII with nothing
+// to escape is copied as is; anything else goes through json.Marshal,
+// so control characters, HTML-sensitive characters, and invalid UTF-8
+// are escaped exactly as encoding/json escapes them.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' ||
+			c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// decodeLimit is the per-scope bound of the recorder DecodeJSONL
+// fills; tests lower it to exercise the overflow error.
+var decodeLimit = DefaultLimit
 
 // DecodeJSONL reads a WriteJSONL stream back into a recorder (scopes
 // become children of the root), rejecting malformed lines and unknown
 // event kinds. Blank lines are skipped, so hand-edited traces with a
-// trailing newline still load.
+// trailing newline still load. A scope holding more events than a
+// recorder keeps is an error naming the first line that does not fit,
+// never a silently truncated recording.
 func DecodeJSONL(rd io.Reader) (*Recorder, error) {
-	rec := New(0)
+	rec := New(decodeLimit)
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	n := 0
@@ -94,6 +201,10 @@ func DecodeJSONL(rd io.Reader) (*Recorder, error) {
 		target := rec
 		if ln.Scope != "" {
 			target = rec.Child(ln.Scope)
+		}
+		if target.Len() >= target.limit {
+			return nil, fmt.Errorf("trace: line %d: scope %q exceeds the recorder limit of %d events",
+				n, ln.Scope, target.limit)
 		}
 		target.Record(ln.Event)
 	}

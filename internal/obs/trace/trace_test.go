@@ -240,3 +240,47 @@ func TestRegistrySpanSinkFeedsRecorder(t *testing.T) {
 		t.Error("removed sink must stop receiving spans")
 	}
 }
+
+// TestViewStableUnderConcurrentRecord pins View's contract: while one
+// goroutine keeps recording (and the backing array keeps growing),
+// every view taken earlier still reads the events it was taken with.
+// Run under -race it also proves the reads never touch an element a
+// producer writes.
+func TestViewStableUnderConcurrentRecord(t *testing.T) {
+	const n = 5000
+	r := trace.New(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= n; i++ {
+			r.Record(trace.Event{T: float64(i), Kind: trace.FrameCaptured, Frame: int64(i), Node: -1})
+		}
+	}()
+	var views [][]trace.Event
+	check := func(v []trace.Event) {
+		if cap(v) != len(v) {
+			t.Fatalf("view has cap %d beyond its len %d", cap(v), len(v))
+		}
+		for i, e := range v {
+			if e.Frame != int64(i+1) || e.T != float64(i+1) {
+				t.Fatalf("view element %d reads frame %d at t=%v", i, e.Frame, e.T)
+			}
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		v := r.View()
+		check(v)
+		views = append(views, v)
+	}
+	for _, v := range views {
+		check(v)
+	}
+	if got := len(r.View()); got != n {
+		t.Fatalf("final view has %d events, want %d", got, n)
+	}
+}
