@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sudc/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden analysis output")
@@ -263,5 +265,32 @@ func TestPlacementTierCounts(t *testing.T) {
 	}
 	if !strings.Contains(out, "placed on the cloud tier") {
 		t.Errorf("slowest-frame timeline missing the placed event:\n%s", out)
+	}
+}
+
+func TestSharedScenarioFlags(t *testing.T) {
+	// sudcmon's -h output carries every shared scenario flag's usage
+	// block — name, type, usage, and default — exactly as package
+	// scenario declares it, so a scenario spelled for sudcsim runs here.
+	var usage strings.Builder
+	if err := run([]string{"-h"}, &usage); err != flag.ErrHelp {
+		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	scenario.Register(shared)
+	n := 0
+	shared.VisitAll(func(fl *flag.Flag) {
+		n++
+		one := flag.NewFlagSet("one", flag.ContinueOnError)
+		var block strings.Builder
+		one.SetOutput(&block)
+		one.Var(fl.Value, fl.Name, fl.Usage)
+		one.PrintDefaults()
+		if !strings.Contains(usage.String(), block.String()) {
+			t.Errorf("usage lacks the shared flag block:\n%s", block.String())
+		}
+	})
+	if n != 29 {
+		t.Errorf("scenario.Register declares %d flags, want 29", n)
 	}
 }

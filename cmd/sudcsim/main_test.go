@@ -1,12 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sudc/internal/obs/trace"
+	"sudc/internal/scenario"
 )
 
 func runSim(t *testing.T, args ...string) string {
@@ -327,5 +329,55 @@ func TestNegativeWindowRejected(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-slo", "-window", "-5"}, &b); err == nil {
 		t.Error("negative window width must error")
+	}
+}
+
+func TestSatellitesFlagIgnoredByPlanesPlacement(t *testing.T) {
+	// -planes runs ignore -satellites, and so must the placement pricing:
+	// the scenario is sized per SµDC from the Walker graph.
+	args := []string{"-planes", "4", "-sats-per-plane", "16", "-hours", "0.5", "-placement", "greedy"}
+	a := runSim(t, append(args, "-satellites", "2")...)
+	b := runSim(t, append(args, "-satellites", "64")...)
+	if a != b {
+		t.Errorf("-satellites changed a -planes -placement run:\n--- -satellites 2 ---\n%s\n--- -satellites 64 ---\n%s", a, b)
+	}
+}
+
+func TestBadDurationFlagsNameTheFlag(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hours", "1e12"}, {"-hours", "NaN"}, {"-mttf", "1e300"},
+	} {
+		var b strings.Builder
+		err := run(args, &b)
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") || !strings.Contains(err.Error(), "accepted range") {
+			t.Errorf("%v: got %v, want a range error naming %s", args, err, args[0])
+		}
+	}
+}
+
+func TestSharedScenarioFlags(t *testing.T) {
+	// sudcsim's -h output carries every shared scenario flag's usage
+	// block — name, type, usage, and default — exactly as package
+	// scenario declares it.
+	var usage strings.Builder
+	if err := run([]string{"-h"}, &usage); err != flag.ErrHelp {
+		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	scenario.Register(shared)
+	n := 0
+	shared.VisitAll(func(fl *flag.Flag) {
+		n++
+		one := flag.NewFlagSet("one", flag.ContinueOnError)
+		var block strings.Builder
+		one.SetOutput(&block)
+		one.Var(fl.Value, fl.Name, fl.Usage)
+		one.PrintDefaults()
+		if !strings.Contains(usage.String(), block.String()) {
+			t.Errorf("usage lacks the shared flag block:\n%s", block.String())
+		}
+	})
+	if n != 29 {
+		t.Errorf("scenario.Register declares %d flags, want 29", n)
 	}
 }

@@ -234,9 +234,17 @@ func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed in
 	}
 	h := horizon.Seconds()
 	sched := Schedule{Deaths: make([]float64, nodes)}
+	// A node stream is forked only when a node process will read it:
+	// seeding one costs ~5 KB and several µs, and ISL streams fork their
+	// own seeds, so skipping unread node streams changes no schedule.
+	nodeFaults := s.NodeMTTF > 0 || s.SEFIMTBE > 0
 	for i := range sched.Deaths {
-		rng := par.ForkRand(seed, i)
 		death := math.Inf(1)
+		if !nodeFaults {
+			sched.Deaths[i] = death
+			continue
+		}
+		rng := par.ForkRand(seed, i)
 		if s.NodeMTTF > 0 {
 			death = reliability.DrawLifetime(rng, s.NodeMTTF.Seconds())
 			if death > h {

@@ -340,3 +340,21 @@ func TestDeathsCensoredAtHorizon(t *testing.T) {
 		t.Error("with MTTF = 2×horizon over 64 nodes, some deaths expected")
 	}
 }
+
+func TestFaultFreeBuildAllocsFlatInNodes(t *testing.T) {
+	// With no node process enabled, no per-node RNG stream is forked:
+	// the allocation count of a fault-free build must not grow with the
+	// node count (ISL outages alone fork per-edge streams only).
+	for _, s := range []Scenario{{}, {ISLOutageMTBF: time.Hour, ISLOutageDuration: time.Minute}} {
+		allocs := func(nodes int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := BuildModulated(s, nodes, 1, 2*time.Hour, 7, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(1), allocs(256); many > few {
+			t.Errorf("%+v: %v allocs for 256 nodes, %v for 1: node streams forked while disabled", s, many, few)
+		}
+	}
+}

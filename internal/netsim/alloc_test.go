@@ -9,7 +9,6 @@ package netsim
 // closures fails loudly instead of silently costing 270k allocs/run.
 
 import (
-	"math/rand"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -17,43 +16,54 @@ import (
 	"sudc/internal/faults"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/topo"
 	"sudc/internal/workload"
 )
 
-// steadySim builds a fault-free simulator (obs and tracing off) and
-// advances it far enough that every backing array has reached its
-// steady-state size.
-func steadySim(t testing.TB) *simulator {
+// resetStar prepares s to run c on the compiled implicit star — the
+// one-cell plan Run builds for a nil Topology.
+func resetStar(t testing.TB, s *simulator, c Config) {
 	t.Helper()
-	c := DefaultConfig(workload.Suite[0])
 	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plans, err := compile(topo.Star(c.Constellation.Satellites, c.Workers), false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sched, err := faults.Build(c.Faults, c.Workers, c.Duration, c.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.resetTopo(c, &plans[0], sched, nil, 0, 1)
+}
+
+// steadySim builds a fault-free simulator (obs and tracing off) and
+// advances it far enough (10 simulated minutes, several thousand
+// events) that every backing array has reached its steady-state size.
+func steadySim(t testing.TB) *simulator {
+	t.Helper()
 	s := new(simulator)
-	s.reset(c, sched, nil, rand.New(rand.NewSource(c.Seed)))
-	for i := 0; i < 4000; i++ {
-		if !s.step() {
-			t.Fatal("simulation ended during warm-up")
-		}
-	}
+	resetStar(t, s, DefaultConfig(workload.Suite[0]))
+	s.runUntil(600, false)
 	return s
 }
 
 func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	s := steadySim(t)
+	limit := 600.0
 	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 50; i++ {
-			if !s.step() {
-				t.Fatal("simulation ended mid-measurement")
-			}
+		limit += 5
+		s.runUntil(limit, false)
+		if s.nextAt() > s.horizon {
+			t.Fatal("simulation ended mid-measurement")
 		}
 	})
+	if s.evCount[evFrameReady] < 4000 {
+		t.Fatalf("measurement window too short: %d captures", s.evCount[evFrameReady])
+	}
 	if avg != 0 {
-		t.Errorf("steady-state hot loop allocates %.2f times per 50 events, want 0", avg)
+		t.Errorf("steady-state hot loop allocates %.2f times per 5 simulated seconds, want 0", avg)
 	}
 }
 
@@ -90,15 +100,10 @@ func TestSimulatorReusesBackingArrays(t *testing.T) {
 	// zero-growth steady state through the simulator pool.
 	c := DefaultConfig(workload.Suite[0])
 	c.Duration = 10 * time.Minute
-	sched, err := faults.Build(c.Faults, c.Workers, c.Duration, c.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := new(simulator)
 	run := func() {
-		s.reset(c, sched, nil, rand.New(rand.NewSource(c.Seed)))
-		for s.step() {
-		}
+		resetStar(t, s, c)
+		s.runUntil(s.horizon, true)
 		s.finish()
 	}
 	run()
@@ -150,7 +155,7 @@ func TestRunReplicasRecyclesPooledSimulator(t *testing.T) {
 		if s.rec != nil || s.tr != nil || s.rng.src != nil {
 			t.Error("pooled simulator retains per-run references after put")
 		}
-		if s.win != nil || s.winM != nil {
+		if s.win != nil {
 			t.Error("pooled simulator retains windowed-telemetry state after put")
 		}
 		putSim(s)

@@ -16,9 +16,6 @@ package netsim
 import (
 	"fmt"
 
-	"sudc/internal/degrade"
-	"sudc/internal/faults"
-	"sudc/internal/obs/window"
 	"sudc/internal/topo"
 	"sudc/internal/units"
 )
@@ -32,33 +29,24 @@ type planLink struct {
 	destCell int
 	crossTo  int // cross continuation, in the destination cell's index space
 	name     string
-}
-
-// planSudc is one compiled SµDC node.
-type planSudc struct {
-	workers int
-	name    string
-}
-
-// planSource is one compiled capture group.
-type planSource struct {
-	sats int
-	edge int // local first-hop edge
+	label    string // trace edge label: name, or "" on the implicit star
 }
 
 // cellPlan is one cell's compiled subgraph.
 type cellPlan struct {
-	sources []planSource
+	sources []sourceState
 	links   []planLink
-	sudcs   []planSudc
+	sudcs   []int // worker count per SµDC node
 	sats    int
 	workers int
 }
 
 // compile lowers a validated graph into per-cell plans. Node and edge
 // iteration order fixes all local indices, so the lowering is
-// deterministic.
-func compile(g *topo.Graph) ([]cellPlan, error) {
+// deterministic. labeled gives each ISL edge its name as trace label;
+// the implicit star compiles unlabeled, so its traces carry no edge
+// key and name outages "isl-outage#N".
+func compile(g *topo.Graph, labeled bool) ([]cellPlan, error) {
 	routes, err := g.Routes()
 	if err != nil {
 		return nil, err
@@ -77,7 +65,7 @@ func compile(g *topo.Graph) ([]cellPlan, error) {
 		}
 		p := &plans[nd.Cell]
 		nodeSudc[i] = len(p.sudcs)
-		p.sudcs = append(p.sudcs, planSudc{workers: nd.Workers, name: nd.Name})
+		p.sudcs = append(p.sudcs, nd.Workers)
 		p.workers += nd.Workers
 	}
 
@@ -94,11 +82,11 @@ func compile(g *topo.Graph) ([]cellPlan, error) {
 		}
 		p := &plans[g.Nodes[e.From].Cell]
 		edgeLocal[ei] = len(p.links)
-		p.links = append(p.links, planLink{
-			rate:  e.Rate,
-			delay: e.Delay.Seconds(),
-			name:  g.EdgeName(ei),
-		})
+		l := planLink{rate: e.Rate, delay: e.Delay.Seconds(), name: g.EdgeName(ei)}
+		if labeled {
+			l.label = l.name
+		}
+		p.links = append(p.links, l)
 	}
 
 	// Continuations: a frame delivered at edge (u → v) continues into
@@ -137,7 +125,7 @@ func compile(g *topo.Graph) ([]cellPlan, error) {
 			continue
 		}
 		p := &plans[nd.Cell]
-		p.sources = append(p.sources, planSource{sats: nd.Sats, edge: edgeLocal[routes[i]]})
+		p.sources = append(p.sources, sourceState{sats: nd.Sats, edge: edgeLocal[routes[i]]})
 		p.sats += nd.Sats
 	}
 	return plans, nil
@@ -147,75 +135,3 @@ func compile(g *topo.Graph) ([]cellPlan, error) {
 // IDs starting at c<<frameIDBits, so IDs stay globally unique when a
 // frame's lifecycle spans cells.
 const frameIDBits = 40
-
-// resetTopo prepares the pooled simulator to run one compiled cell.
-// The caller has already scoped c.Obs / c.Trace to the cell and built
-// the cell's fault schedule over its own workers and links; cells is
-// the total cell count, which splits the shared placement downlink.
-func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg *degrade.Schedule, cell, cells int) {
-	s.resetCommon(c, s.ownRand, p.workers)
-	s.topoMode = true
-	s.mergeLat = cells > 1
-	s.setDegrade(deg)
-	s.need = p.workers
-	s.totalSats = p.sats
-	s.setPlacement(c.Placement, cells)
-	if c.Window > 0 {
-		// The cell collects its own fragments; the shard runner owns the
-		// merger and drains every cell at the cross-cell watermark.
-		s.win = window.NewCollector(c.Window.Seconds(), cell)
-	}
-	s.frameID = int64(cell) << frameIDBits
-
-	s.links = resizeLinks(s.links, len(p.links))
-	for i := range p.links {
-		pl, l := &p.links[i], &s.links[i]
-		rate := pl.rate
-		if rate == 0 {
-			rate = c.ISLRate
-		}
-		l.sendTime = s.frameBits / float64(rate)
-		l.delay = pl.delay
-		l.dest = pl.dest
-		l.cross = pl.cross
-		l.destCell = pl.destCell
-		l.crossTo = pl.crossTo
-		l.name = pl.name
-		l.label = pl.name
-	}
-
-	s.sudcs = resizeSudcs(s.sudcs, len(p.sudcs))
-	s.workerSudc = resizeInts(s.workerSudc, p.workers)
-	w0 := 0
-	for i := range p.sudcs {
-		d := &s.sudcs[i]
-		d.w0, d.nw = w0, p.sudcs[i].workers
-		for w := w0; w < w0+d.nw; w++ {
-			s.workerSudc[w] = i
-		}
-		w0 += d.nw
-	}
-
-	if cap(s.sources) >= len(p.sources) {
-		s.sources = s.sources[:len(p.sources)]
-	} else {
-		s.sources = make([]sourceState, len(p.sources))
-	}
-	for i := range p.sources {
-		s.sources[i] = sourceState{sats: p.sources[i].sats, edge: p.sources[i].edge}
-	}
-	s.satEdge = resizeInts(s.satEdge, p.sats)
-
-	s.q.grow(p.sats + 4*p.workers +
-		len(sched.Deaths) + len(sched.Hangs) + len(sched.Outages) + s.degPhases() + 64)
-	s.fq.grow(p.sats)
-	s.sizeLatencies(p.sats)
-
-	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
-	}
-	s.seedEvents(sched)
-	if s.deg != nil {
-		s.applyPhase(0)
-	}
-}

@@ -25,7 +25,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sudc/internal/constellation"
@@ -106,23 +105,24 @@ type Config struct {
 	// time series (0 = DefaultSampleEvery; negative is invalid).
 	SampleEvery time.Duration
 
-	// Topology, when non-nil, replaces the implicit single-SµDC star
-	// with an explicit constellation graph: frames route along graph
-	// edges toward their nearest SµDC, every ISL edge gets its own
-	// queue, transfer state, and outage process, and the simulation is
-	// sharded by graph cell (orbital plane or cluster) with conservative
-	// cross-cell synchronization. Constellation.Satellites, Workers, and
-	// NeedWorkers are defined by the graph in this mode (NeedWorkers
-	// must stay 0: each cell's full worker complement defines full
-	// service); Constellation.FramesPerMinute, FilterRate, ISLRate (the
-	// rate inherited by edges with Rate 0), and every other field keep
-	// their meaning. A nil Topology is the legacy star, byte-identical
-	// to the pre-topology simulator.
+	// Topology is the constellation graph the run simulates: frames
+	// route along graph edges toward their nearest SµDC, every ISL edge
+	// gets its own queue, transfer state, and outage process, and each
+	// graph cell (orbital plane or cluster) runs its own simulator under
+	// conservative cross-cell synchronization. With an explicit graph,
+	// Constellation.Satellites, Workers, and NeedWorkers are defined by
+	// the graph (NeedWorkers must stay 0: each cell's full worker
+	// complement defines full service); Constellation.FramesPerMinute,
+	// FilterRate, ISLRate (the rate inherited by edges with Rate 0), and
+	// every other field keep their meaning. A nil Topology is the
+	// one-cell graph topo.Star(Constellation.Satellites, Workers), with
+	// NeedWorkers honored and its single edge left unlabeled in traces.
 	Topology *topo.Graph
-	// Shards caps the number of parallel workers executing topology
-	// cells (0 = par.DefaultWorkers()). Results are byte-identical for
-	// any value: sharding only schedules which goroutine advances a
-	// cell, never what the cell computes. Ignored without Topology.
+	// Shards caps the number of parallel workers executing graph cells
+	// (0 = par.DefaultWorkers()). Results are byte-identical for any
+	// value: sharding only schedules which goroutine advances a cell,
+	// never what the cell computes. One-cell graphs, the implicit star
+	// included, always run inline.
 	Shards int
 
 	// Degrade, when non-nil, couples the run to its orbital environment:
@@ -182,7 +182,10 @@ type Config struct {
 	// disables windowing at the cost of one nil check per event.
 	Window time.Duration
 	// OnWindow, when non-nil, observes each completed merged window in
-	// index order, live at the watermark that sealed it. Requires
+	// index order, at the watermark that sealed it. A cell with no
+	// incoming cross-cell edges (the star included) runs to the horizon
+	// in one round, so its windows are sealed when the run ends; the
+	// stream's bytes do not depend on when it is delivered. Requires
 	// Window > 0. Per-run state: RunReplicas rejects it (replicas would
 	// interleave their streams nondeterministically).
 	OnWindow func(window.Window)
@@ -398,9 +401,8 @@ type Stats struct {
 	BatchesDeferred int
 
 	// CrossShardFrames counts frames delivered across cell boundaries as
-	// timestamped messages by the sharded topology runner. Always zero
-	// for legacy (nil-Topology) runs and for topologies whose cells are
-	// self-contained.
+	// timestamped messages by the sharded runner. Always zero for graphs
+	// whose cells are self-contained, the implicit star included.
 	CrossShardFrames int
 
 	// TierFrames counts completed frames per placement tier, and
@@ -418,7 +420,7 @@ type Stats struct {
 	OracleMeanCost  float64
 
 	// Sync summarizes the conservative synchronizer of a multi-cell
-	// topology run. Zero for legacy and single-cell runs.
+	// run. Zero for one-cell graphs, the implicit star included.
 	Sync SyncStats
 }
 
@@ -496,39 +498,18 @@ type workerState struct {
 	batch   []frame // in-flight frames, for re-dispatch on death
 }
 
-// Run executes the simulation seeded from c.Seed — the deterministic
-// convenience wrapper around RunWithRand. The RNG stream is identical to
-// rand.New(rand.NewSource(c.Seed)); Run reseeds a pooled generator in
-// place instead of allocating its ~5 KB state table per run.
+// Run executes the simulation. Every configuration takes the same
+// path: a nil Topology compiles to topo.Star(Constellation.Satellites,
+// Workers), and the compiled graph runs one simulator per cell under
+// the sharded runner (see shard.go). Arrival phases, jitter, and
+// analyzer draws come from a pooled generator reseeded in place per
+// cell — the stream of rand.New(rand.NewSource(c.Seed)) for a
+// single-cell graph, par.ForkSeed(c.Seed, cell) otherwise.
 func Run(c Config) (Stats, error) {
 	if err := c.Validate(); err != nil {
 		return Stats{}, err
 	}
-	if c.Topology != nil {
-		return runTopology(c)
-	}
-	deg, err := buildDegrade(c)
-	if err != nil {
-		return Stats{}, err
-	}
-	sched, err := faults.BuildModulated(c.Faults, c.Workers, 1, c.Duration, c.Seed, deg.FaultEnvelope())
-	if err != nil {
-		return Stats{}, err
-	}
-	s := getSim()
-	if s.ownRand == nil {
-		s.ownRand = rand.New(rand.NewSource(c.Seed))
-	} else {
-		s.ownRand.Seed(c.Seed)
-	}
-	s.reset(c, sched, deg, s.ownRand)
-	for s.step() {
-	}
-	stats := s.finish()
-	wins := s.closeRunWindows()
-	putSim(s)
-	emitSLO(c, wins)
-	return stats, nil
+	return runTopology(c)
 }
 
 // RunReplicas executes `replicas` independent runs of the configuration,
@@ -575,45 +556,6 @@ func RunReplicas(c Config, replicas, workers int) ([]Stats, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunWithRand executes the simulation drawing all randomness (arrival
-// phases and jitter, analyzer decisions) from the injected RNG. The RNG
-// is owned by this run: callers running simulations in parallel must
-// fork one stream per run (par.ForkRand) rather than share one, and the
-// stream may be advanced past the last draw the run consumed (draws are
-// batched). Fault schedules are not drawn from this RNG: they fork their
-// own per-node streams from c.Seed (package faults), so enabling a fault
-// process never perturbs arrivals.
-func RunWithRand(c Config, rng *rand.Rand) (Stats, error) {
-	if err := c.Validate(); err != nil {
-		return Stats{}, err
-	}
-	if rng == nil {
-		return Stats{}, errors.New("netsim: nil rng")
-	}
-	if c.Topology != nil {
-		// Topology runs fork one RNG stream per cell from c.Seed; a
-		// single injected stream cannot express that.
-		return Stats{}, errors.New("netsim: topology runs own their RNG streams; use Run")
-	}
-	deg, err := buildDegrade(c)
-	if err != nil {
-		return Stats{}, err
-	}
-	sched, err := faults.BuildModulated(c.Faults, c.Workers, 1, c.Duration, c.Seed, deg.FaultEnvelope())
-	if err != nil {
-		return Stats{}, err
-	}
-	s := getSim()
-	s.reset(c, sched, deg, rng)
-	for s.step() {
-	}
-	stats := s.finish()
-	wins := s.closeRunWindows()
-	putSim(s)
-	emitSLO(c, wins)
-	return stats, nil
 }
 
 // buildDegrade compiles the config's degradation schedule over the run

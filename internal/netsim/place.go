@@ -29,10 +29,9 @@ import (
 	"sudc/internal/placement"
 )
 
-// setPlacement installs the (possibly nil) placement engine. Must run
-// after resetCommon (it keys on frameBits) and after totalSats is
-// known; cells is the topology cell count the shared downlink rate is
-// split across (1 for legacy runs).
+// setPlacement installs the (possibly nil) placement engine. resetTopo
+// runs it once frameBits and totalSats are known; cells is the cell
+// count the shared downlink rate is split across (1 for the star).
 func (s *simulator) setPlacement(pc *placement.Config, cells int) {
 	s.place = pc
 	if pc == nil {

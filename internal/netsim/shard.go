@@ -23,9 +23,9 @@ package netsim
 // global event order, nothing cell j ever does happens before T_j, so
 // no message can reach cell i before limit_i: i safely processes every
 // event with at < limit_i this round. A cell whose limit reaches the
-// horizon runs to it inclusively (matching the legacy `at > horizon`
-// stop); a cell with no incoming cross-cell edges has limit_i = +Inf
-// and finishes in its first round. The fixpoint is never more
+// horizon runs to it inclusively (the run's `at > horizon` stop); a
+// cell with no incoming cross-cell edges has limit_i = +Inf and
+// finishes in its first round. The fixpoint is never more
 // conservative than the old global tmin + min-cross-delay window, and
 // on graphs with heterogeneous delays (short FSO hops, long ring ISLs)
 // cells run far ahead of the old window, collapsing the round count.
@@ -48,7 +48,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -61,6 +60,7 @@ import (
 	"sudc/internal/obs/window"
 	"sudc/internal/par"
 	"sudc/internal/placement"
+	"sudc/internal/topo"
 	"sudc/internal/units"
 )
 
@@ -128,11 +128,10 @@ type shardRunner struct {
 	placeCost float64
 }
 
-// newShardRunner builds the per-cell simulators. A single-cell
-// topology runs on the root seed with no observability scoping — the
-// Star graph is then equivalent to the legacy implicit star — while
-// multi-cell topologies fork one seed, obs scope, and trace child
-// ("c%03d") per cell.
+// newShardRunner builds the per-cell simulators. A single-cell graph
+// (the implicit star, or an explicit topo.Star) runs on the root seed
+// with no observability scoping, while multi-cell graphs fork one
+// seed, obs scope, and trace child ("c%03d") per cell.
 func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRunner, error) {
 	n := len(plans)
 	r := &shardRunner{
@@ -202,11 +201,6 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 			return nil, err
 		}
 		s := getSim()
-		if s.ownRand == nil {
-			s.ownRand = rand.New(rand.NewSource(cc.Seed))
-		} else {
-			s.ownRand.Seed(cc.Seed)
-		}
 		r.sims = append(r.sims, s)
 		s.resetTopo(cc, p, sched, deg, i, n)
 		r.weights[i] = p.workers
@@ -522,8 +516,8 @@ func (r *shardRunner) finish() Stats {
 	r.stopPool()
 	if len(r.sims) == 1 {
 		// Single cell: the cell's stats ARE the run's stats. Bypassing
-		// the weighted merge keeps the Star topology bit-identical to
-		// the legacy simulator (x*w/w is not an exact float identity).
+		// the weighted merge keeps one-cell runs exact (x*w/w is not an
+		// exact float identity).
 		s := r.sims[0]
 		cs := s.finish()
 		s.closeWindows(r.winM)
@@ -744,9 +738,14 @@ func insertMsgs(ms []shardMsg) {
 	}
 }
 
-// runTopology executes a topology-mode configuration.
+// runTopology executes a validated configuration, compiling a nil
+// Topology to the implicit star.
 func runTopology(c Config) (Stats, error) {
-	plans, err := compile(c.Topology)
+	g := c.Topology
+	if g == nil {
+		g = topo.Star(c.Constellation.Satellites, c.Workers)
+	}
+	plans, err := compile(g, c.Topology != nil)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -19,9 +19,7 @@ import (
 // randBuf batches Float64 draws from the run's RNG stream. Draws are
 // consumed in exactly the order the simulator requests them — buffering
 // only moves the underlying generator calls out of the per-event path —
-// so the value sequence, and therefore every golden, is unchanged. The
-// stream may be advanced past the last consumed draw at the end of a
-// run, which is why RunWithRand's contract gives the RNG to the run.
+// so the value sequence, and therefore every golden, is unchanged.
 type randBuf struct {
 	src  *rand.Rand
 	i, n int
@@ -47,9 +45,9 @@ func (r *randBuf) Float64() float64 {
 // linkState is one directed ISL edge: its static compile-time routing
 // (where a frame delivered at the far end continues) plus the dynamic
 // transfer state that used to live as the simulator's single aggregate
-// ISL. The legacy star is exactly one linkState with zero delay whose
+// ISL. The star is exactly one linkState with zero delay whose
 // continuation is SµDC 0, so the generalized per-edge code replays the
-// pre-refactor event sequence bit for bit.
+// single-link event sequence bit for bit.
 type linkState struct {
 	// Static per-run compile outputs.
 	sendTime float64 // per-frame transmission time, s
@@ -59,7 +57,7 @@ type linkState struct {
 	destCell int     // cross: destination cell
 	crossTo  int     // cross: continuation in the destination cell (edge or ^sudc)
 	name     string  // metrics label "<from>-<to>"
-	label    string  // trace edge label; "" outside topology mode
+	label    string  // trace edge label; "" on the implicit star
 
 	// Dynamic transfer state.
 	queue      frameDeque // frames waiting for (or crossing) the link
@@ -83,8 +81,8 @@ type sudcState struct {
 	timeoutArmed bool
 }
 
-// sourceState is one capture group: sats satellites sharing first-hop
-// edge.
+// sourceState is one capture group: sats satellites sharing their
+// local first-hop edge.
 type sourceState struct {
 	sats int
 	edge int
@@ -103,8 +101,8 @@ type shardMsg struct {
 // simulator is one run's (or one shard cell's) entire state. The state
 // lives in a struct rather than closure-captured locals so the loop
 // body is allocation-free and a sync.Pool can recycle every backing
-// array across runs; tests use the stepping API to pin the
-// zero-allocation steady state with testing.AllocsPerRun.
+// array across runs; tests drive runUntil to pin the zero-allocation
+// steady state with testing.AllocsPerRun.
 type simulator struct {
 	// Derived per-run constants.
 	c            Config
@@ -124,16 +122,16 @@ type simulator struct {
 	batchTimeout float64
 
 	rng randBuf
-	// ownRand is the pooled RNG used by Run (reseeded in place per run);
-	// RunWithRand substitutes the caller's stream instead.
+	// ownRand is the pooled generator behind rng, reseeded in place per
+	// run instead of allocating its ~5 KB state table.
 	ownRand *rand.Rand
 
 	q   eventHeap
 	fq  frameHeap // per-satellite capture timers (see frameHeap)
 	seq int
 
-	// Compiled topology. The legacy configuration compiles to one
-	// source group, one link, and one SµDC.
+	// Compiled topology. The star compiles to one source group, one
+	// link, and one SµDC.
 	sources    []sourceState
 	links      []linkState
 	sudcs      []sudcState
@@ -163,8 +161,7 @@ type simulator struct {
 	rec     *recorder
 	evCount [len(eventNames)]int64
 
-	tr       *trace.Recorder
-	topoMode bool
+	tr *trace.Recorder
 	// mergeLat marks a multi-cell run: the shard runner recomputes the
 	// latency distribution over the merged samples, so finish() skips
 	// the per-cell sort (the Mean/P95 of one cell are never published).
@@ -220,11 +217,9 @@ type simulator struct {
 	brownoutIdx  int     // brownout ordinal, for cause attribution
 
 	// Windowed telemetry (win == nil when Config.Window is zero; every
-	// hot-path hook then reduces to one nil check). Legacy runs own
-	// their merger; topology cells leave winM nil and the shard runner
-	// drains their collectors at the cross-cell watermark.
+	// hot-path hook then reduces to one nil check). The shard runner
+	// drains each cell's collector at the cross-cell watermark.
 	win       *window.Collector
-	winM      *window.Merger
 	downLinks int            // ISL edges currently in outage
 	placeBase placement.Tier // zero-queue base tier of the placement policy
 }
@@ -237,68 +232,37 @@ var simPool = sync.Pool{New: func() any { return new(simulator) }}
 func getSim() *simulator { return simPool.Get().(*simulator) }
 func putSim(s *simulator) {
 	// Drop references owned by the caller so the pool never retains a
-	// registry, recorder, or foreign RNG across runs. ownRand stays: the
-	// simulator owns it and reseeds it in place.
+	// registry or recorder across runs. ownRand stays: the simulator
+	// owns it and reseeds it in place.
 	s.c = Config{}
 	s.rec = nil
 	s.tr = nil
 	s.rng.src = nil
 	s.place = nil
 	s.win = nil
-	s.winM = nil
 	simPool.Put(s)
 }
 
-// resizeInts reuses an int slice's backing array for n entries.
-func resizeInts(a []int, n int) []int {
+// resize returns a with length n, reusing its backing array when it is
+// large enough. A grown array keeps the old elements, and with them the
+// warmed deque buffers of recycled link and SµDC slots.
+func resize[T any](a []T, n int) []T {
 	if cap(a) >= n {
 		return a[:n]
 	}
-	return make([]int, n)
+	return append(a[:cap(a)], make([]T, n-cap(a))...)
 }
 
-// resizeLinks resizes the link array to n entries, zeroing per-run
-// state while keeping the warmed deque buffers of recycled slots.
-func resizeLinks(links []linkState, n int) []linkState {
-	if cap(links) >= n {
-		links = links[:n]
-	} else {
-		old := links
-		links = make([]linkState, n)
-		copy(links, old)
-	}
-	for i := range links {
-		l := &links[i]
-		q, fl := l.queue, l.flight
-		q.reset()
-		fl.reset()
-		*l = linkState{queue: q, flight: fl}
-	}
-	return links
-}
-
-// resizeSudcs resizes the SµDC array to n entries, keeping warmed input
-// queues.
-func resizeSudcs(sudcs []sudcState, n int) []sudcState {
-	if cap(sudcs) >= n {
-		sudcs = sudcs[:n]
-	} else {
-		old := sudcs
-		sudcs = make([]sudcState, n)
-		copy(sudcs, old)
-	}
-	for i := range sudcs {
-		d := &sudcs[i]
-		in := d.input
-		in.reset()
-		*d = sudcState{input: in}
-	}
-	return sudcs
-}
-
-// resetCommon prepares everything that does not depend on the layout:
-// derived constants, the RNG, the worker array, counters, and arenas.
-func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
+// resetTopo prepares the pooled simulator to run one compiled cell —
+// derived constants, the RNG, the worker array, counters, arenas, and
+// the cell's links, SµDCs, and sources — reusing every backing array
+// that is already large enough. The caller has already scoped c.Obs /
+// c.Trace and c.Seed to the cell and built the cell's fault schedule
+// over its own workers and links; cells is the total cell count, which
+// splits the shared placement downlink.
+// Full service means the cell's whole worker complement, or
+// c.NeedWorkers when set (only the implicit star may set it).
+func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg *degrade.Schedule, cell, cells int) {
 	s.c = c
 	s.horizon = c.Duration.Seconds()
 	s.framePeriod = 60 / c.Constellation.FramesPerMinute
@@ -335,7 +299,12 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	}
 	s.batchTimeout = c.BatchTimeout.Seconds()
 
-	s.rng.reset(src)
+	if s.ownRand == nil {
+		s.ownRand = rand.New(rand.NewSource(c.Seed))
+	} else {
+		s.ownRand.Seed(c.Seed)
+	}
+	s.rng.reset(s.ownRand)
 
 	// Recycle batch slices still attached to the previous run's workers
 	// before the worker slice is reused.
@@ -345,15 +314,16 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 			s.workers[i].batch = nil
 		}
 	}
-	if cap(s.workers) >= workers {
-		s.workers = s.workers[:workers]
-		for i := range s.workers {
-			s.workers[i] = workerState{}
-		}
-	} else {
-		s.workers = make([]workerState, workers)
+	s.workers = resize(s.workers, p.workers)
+	for i := range s.workers {
+		s.workers[i] = workerState{}
 	}
-	s.totalWorkers = workers
+	s.totalWorkers = p.workers
+	s.need = p.workers
+	if c.NeedWorkers > 0 {
+		s.need = c.NeedWorkers
+	}
+	s.totalSats = p.sats
 
 	s.q.reset()
 	s.fq.reset()
@@ -362,12 +332,11 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	s.arrivals = s.arrivals[:0]
 	s.freeSlots = s.freeSlots[:0]
 	s.crossSent, s.crossRecv = 0, 0
-	s.effective = workers
+	s.effective = p.workers
 	s.lastT, s.upTime, s.degradedTime, s.downWS, s.busySum = 0, 0, 0, 0, 0
 	s.stats = Stats{}
 	s.now = 0
 
-	s.place = nil
 	s.queueLen = [placement.NumTiers]int{}
 	s.onboardQ.reset()
 	s.onboardRun.reset()
@@ -387,20 +356,17 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	s.tierDollars = [placement.NumTiers]float64{}
 	s.placeCostSum = 0
 
-	s.deg = nil
+	s.deg = deg
 	s.degPhase = 0
 	s.rateMult = 1
-	s.throttleShed, s.deferEclipse = false, false
+	s.throttleShed = deg != nil && c.ThrottleShed
+	s.deferEclipse = deg != nil && c.DeferInEclipse
 	s.rateMultInt, s.throttledSum, s.brownoutSum = 0, 0, 0
 	s.browned, s.brownoutIdx = 0, 0
 
-	s.win, s.winM = nil, nil
 	s.downLinks = 0
 	s.placeBase = 0
-
-	s.mergeLat = false
-
-	s.rec = nil
+	s.mergeLat = cells > 1
 	for i := range s.evCount {
 		s.evCount[i] = 0
 	}
@@ -410,7 +376,64 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	// are assigned in capture order and outage windows are numbered in
 	// start order — both pure functions of simulated time.
 	s.tr = c.Trace
-	s.frameID = 0
+	s.frameID = int64(cell) << frameIDBits
+
+	s.setPlacement(c.Placement, cells)
+	s.win = nil
+	if c.Window > 0 {
+		// The cell collects its own fragments; the shard runner owns the
+		// merger and drains every cell at the cross-cell watermark.
+		s.win = window.NewCollector(c.Window.Seconds(), cell)
+	}
+
+	s.links = resize(s.links, len(p.links))
+	for i := range p.links {
+		pl, l := &p.links[i], &s.links[i]
+		rate := pl.rate
+		if rate == 0 {
+			rate = c.ISLRate
+		}
+		q, fl := l.queue, l.flight
+		q.reset()
+		fl.reset()
+		*l = linkState{queue: q, flight: fl, sendTime: s.frameBits / float64(rate),
+			delay: pl.delay, dest: pl.dest, cross: pl.cross, destCell: pl.destCell,
+			crossTo: pl.crossTo, name: pl.name, label: pl.label}
+	}
+
+	s.sudcs = resize(s.sudcs, len(p.sudcs))
+	s.workerSudc = resize(s.workerSudc, p.workers)
+	w0 := 0
+	for i, nw := range p.sudcs {
+		in := s.sudcs[i].input
+		in.reset()
+		s.sudcs[i] = sudcState{w0: w0, nw: nw, input: in}
+		for w := w0; w < w0+nw; w++ {
+			s.workerSudc[w] = i
+		}
+		w0 += nw
+	}
+
+	s.sources = append(s.sources[:0], p.sources...)
+	s.satEdge = resize(s.satEdge, p.sats)
+
+	phases := 0
+	if deg != nil {
+		phases = len(deg.Phases)
+	}
+	s.q.grow(p.sats + 4*p.workers +
+		len(sched.Deaths) + len(sched.Hangs) + len(sched.Outages) + phases + 64)
+	s.fq.grow(p.sats)
+	s.sizeLatencies(p.sats)
+
+	s.rec = nil
+	if c.Obs != nil {
+		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
+	}
+	s.seedEvents(sched)
+	if s.deg != nil {
+		s.applyPhase(0)
+	}
 }
 
 // sizeLatencies pre-sizes the latency buffer for the worst-case frame
@@ -450,87 +473,12 @@ func (s *simulator) seedEvents(sched faults.Schedule) {
 	}
 	// Degradation phase transitions go last so degradation-free runs keep
 	// their exact pre-degradation event sequence numbers. Phase 0 is
-	// applied directly by reset, not via an event.
+	// applied directly by resetTopo, not via an event.
 	if s.deg != nil {
 		for i := 1; i < len(s.deg.Phases); i++ {
 			s.push(event{at: s.deg.Phases[i].Start, kind: evPhase, who: i})
 		}
 	}
-}
-
-// reset prepares the pooled simulator for one legacy (implicit-star)
-// run, reusing every backing array that is already large enough. The
-// star compiles to one source group feeding SµDC 0 over link 0 with
-// zero propagation delay — the exact pre-topology shape.
-func (s *simulator) reset(c Config, sched faults.Schedule, deg *degrade.Schedule, src *rand.Rand) {
-	s.resetCommon(c, src, c.Workers)
-	s.topoMode = false
-	s.setDegrade(deg)
-
-	s.need = c.NeedWorkers
-	if s.need == 0 {
-		s.need = c.Workers
-	}
-	s.totalSats = c.Constellation.Satellites
-	s.setPlacement(c.Placement, 1)
-	if c.Window > 0 {
-		w := c.Window.Seconds()
-		s.win = window.NewCollector(w, 0)
-		s.winM = window.NewMerger(w, c.OnWindow)
-	}
-
-	s.links = resizeLinks(s.links, 1)
-	l := &s.links[0]
-	l.sendTime = s.frameBits / float64(c.ISLRate)
-	l.dest = ^0
-	l.name = "sats-sudc"
-
-	s.sudcs = resizeSudcs(s.sudcs, 1)
-	s.sudcs[0].w0, s.sudcs[0].nw = 0, c.Workers
-
-	if cap(s.sources) >= 1 {
-		s.sources = s.sources[:1]
-	} else {
-		s.sources = make([]sourceState, 1)
-	}
-	s.sources[0] = sourceState{sats: c.Constellation.Satellites, edge: 0}
-	s.satEdge = resizeInts(s.satEdge, c.Constellation.Satellites)
-	s.workerSudc = resizeInts(s.workerSudc, c.Workers)
-	for i := range s.workerSudc {
-		s.workerSudc[i] = 0
-	}
-
-	s.q.grow(c.Constellation.Satellites + 4*c.Workers +
-		len(sched.Deaths) + len(sched.Hangs) + len(sched.Outages) + s.degPhases() + 64)
-	s.fq.grow(c.Constellation.Satellites)
-	s.sizeLatencies(c.Constellation.Satellites)
-
-	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
-	}
-	s.seedEvents(sched)
-	if s.deg != nil {
-		s.applyPhase(0)
-	}
-}
-
-// setDegrade installs the (possibly nil) degradation schedule and its
-// policy knobs. Must run before seedEvents and newRecorder: both key on
-// s.deg.
-func (s *simulator) setDegrade(deg *degrade.Schedule) {
-	s.deg = deg
-	if deg != nil {
-		s.throttleShed = s.c.ThrottleShed
-		s.deferEclipse = s.c.DeferInEclipse
-	}
-}
-
-// degPhases returns the phase-event count for event-heap sizing.
-func (s *simulator) degPhases() int {
-	if s.deg == nil {
-		return 0
-	}
-	return len(s.deg.Phases)
 }
 
 func (s *simulator) push(e event) {
@@ -634,16 +582,9 @@ func (s *simulator) accrue(t float64) {
 	s.lastT = t
 	if s.win != nil {
 		// The environment has been constant since the previous event, so
-		// the span [lastT, t) integrates exactly. Legacy runs fold and
-		// flush closed windows immediately — a single cell's watermark is
-		// its own clock; topology cells hold fragments for the shard
-		// runner's cross-cell watermark.
-		if s.win.Advance(t, s.winEnv()) > 0 && s.winM != nil {
-			for _, f := range s.win.Drain() {
-				s.winM.Add(f)
-			}
-			s.winM.Flush(t)
-		}
+		// the span [lastT, t) integrates exactly. Closed fragments wait
+		// for the shard runner's cross-cell watermark.
+		s.win.Advance(t, s.winEnv())
 	}
 }
 
@@ -673,17 +614,6 @@ func (s *simulator) closeWindows(m *window.Merger) {
 	for _, f := range s.win.Drain() {
 		m.Add(f)
 	}
-}
-
-// closeRunWindows seals a legacy run's own merger and returns the
-// completed windows (nil when windowing is off).
-func (s *simulator) closeRunWindows() []window.Window {
-	if s.winM == nil {
-		return nil
-	}
-	s.closeWindows(s.winM)
-	s.winM.Flush(math.Inf(1))
-	return s.winM.Windows()
 }
 
 func (s *simulator) recount() {
@@ -959,23 +889,6 @@ func (s *simulator) applyPhase(pi int) {
 	for si := range s.sudcs {
 		s.dispatch(si, false)
 	}
-}
-
-// step pops and applies one event. It returns false once both heaps
-// are empty or the next event lies past the horizon — the run is over.
-func (s *simulator) step() bool {
-	if s.frameFirst() {
-		if s.fq.a[0].at > s.horizon {
-			return false
-		}
-		s.applyFrame()
-		return true
-	}
-	if len(s.q.a) == 0 || s.q.a[0].at > s.horizon {
-		return false
-	}
-	s.apply(s.q.pop())
-	return true
 }
 
 // runUntil drains events with at < limit (final windows include the

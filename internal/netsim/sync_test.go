@@ -140,7 +140,7 @@ func TestActiveSetNeverSkips(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plans, err := compile(c.Topology)
+	plans, err := compile(c.Topology, true)
 	if err != nil {
 		t.Fatal(err)
 	}

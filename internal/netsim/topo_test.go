@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -31,10 +30,10 @@ func conserve(t *testing.T, s Stats) {
 }
 
 func TestStarTopologyMatchesLegacy(t *testing.T) {
-	// The explicit Star graph must reproduce the legacy implicit star
-	// exactly — same Stats, same observability stream — because both
-	// compile to one source, one zero-delay link, and one SµDC fed by
-	// the same RNG stream. Faulted and fault-free.
+	// The explicit Star graph must reproduce the implicit (nil-Topology)
+	// star exactly — same Stats, same observability stream — because
+	// both compile to one source, one zero-delay link, and one SµDC fed
+	// by the same RNG stream. Faulted and fault-free.
 	for _, tc := range []struct {
 		name   string
 		faults faults.Scenario
@@ -215,9 +214,6 @@ func TestTopologyConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("empty graph accepted")
 	}
-	if _, err := RunWithRand(c, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("RunWithRand accepted a topology config")
-	}
 }
 
 // TestCrossShardWindowZeroAllocs pins the cross-shard message path
@@ -236,7 +232,7 @@ func TestCrossShardWindowZeroAllocs(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plans, err := compile(c.Topology)
+	plans, err := compile(c.Topology, true)
 	if err != nil {
 		t.Fatal(err)
 	}
