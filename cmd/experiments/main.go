@@ -8,15 +8,17 @@
 //	experiments -only "Figure 5"
 //	experiments -ablations  # run the design-choice ablation studies
 //	experiments -extensions # run the beyond-the-paper extension studies
-//	experiments -parallel   # run independent exhibits concurrently
-//	experiments -parallel -workers 4
+//	experiments -workers 4  # exhibits evaluated concurrently (default
+//	                        # GOMAXPROCS; 1 runs them one at a time)
 //	experiments -metrics    # append per-exhibit timing + engine metrics
 //	experiments -trace      # stream span trace lines as exhibits finish
 //	experiments -trace-out f.jsonl  # record span events as JSONL (sudcmon -load)
 //	experiments -pprof localhost:6060
 //
-// -parallel produces byte-identical output to a serial run for any
-// worker count; only wall-clock time changes.
+// Every table is collected before any is printed, so the output is
+// byte-identical for any -workers value; only wall-clock time changes.
+// -metrics, -trace, -trace-out and -pprof are shared with sudcsim and
+// sudctool through package obsflag.
 package main
 
 import (
@@ -28,7 +30,7 @@ import (
 
 	"sudc/internal/experiments"
 	"sudc/internal/obs"
-	"sudc/internal/obs/trace"
+	"sudc/internal/obsflag"
 	"sudc/internal/par"
 )
 
@@ -46,22 +48,15 @@ func run(args []string, out io.Writer) error {
 	only := fs.String("only", "", "run a single exhibit by ID (e.g. \"Figure 5\")")
 	ablations := fs.Bool("ablations", false, "run the design-choice ablation studies instead")
 	extensions := fs.Bool("extensions", false, "run the beyond-the-paper extension studies instead")
-	parallel := fs.Bool("parallel", false, "run independent exhibits concurrently (identical output)")
-	workers := fs.Int("workers", 0, "worker count for -parallel (default GOMAXPROCS)")
-	metrics := fs.Bool("metrics", false, "append per-exhibit timing and engine metrics")
-	traceSpans := fs.Bool("trace", false, "stream span trace lines as exhibits finish")
-	traceOut := fs.String("trace-out", "", "record span events to this JSONL file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
+	workers := fs.Int("workers", 0, "exhibits evaluated concurrently (0 = GOMAXPROCS, 1 = one at a time); output is identical for any value")
+	of := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var reg *obs.Registry
-	if *metrics || *traceSpans || *traceOut != "" || *pprofAddr != "" {
-		reg = obs.New()
-		if *traceSpans {
-			reg.SetTraceWriter(out)
-		}
+	if err := of.Start(out); err != nil {
+		return err
+	}
+	if reg := of.Reg; reg != nil {
 		// The DSE behind Figure 17 and the parallel engine report through
 		// process-wide hooks; uninstall them on return so run() stays
 		// reusable (tests call it repeatedly in one process).
@@ -69,18 +64,6 @@ func run(args []string, out io.Writer) error {
 		defer obs.SetGlobal(nil)
 		par.SetObserver(obs.NewEngineMetrics(reg.Scope("par")))
 		defer par.SetObserver(nil)
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New(0)
-		reg.SetSpanSink(rec)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
 	}
 
 	everything := append(append(experiments.All(), experiments.Ablations()...),
@@ -113,63 +96,14 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *parallel {
-		// Collect every table before printing so output is byte-identical
-		// to the serial path regardless of completion order.
-		tables, err := experiments.RunAllObserved(toRun, *workers, reg)
-		if err != nil {
-			return err
-		}
-		for _, tbl := range tables {
-			fmt.Fprintln(out, tbl)
-		}
-		if err := printMetrics(out, *metrics, reg); err != nil {
-			return err
-		}
-		return writeTrace(out, rec, *traceOut)
-	}
-	for _, e := range toRun {
-		sp := reg.StartSpan("experiments/" + e.ID)
-		tbl, err := e.Run()
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		fmt.Fprintln(out, tbl)
-	}
-	if err := printMetrics(out, *metrics, reg); err != nil {
-		return err
-	}
-	return writeTrace(out, rec, *traceOut)
-}
-
-// writeTrace dumps the span recording as JSONL when -trace-out is set.
-func writeTrace(out io.Writer, rec *trace.Recorder, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
+	// Collect every table before printing so the output is byte-identical
+	// for any worker count, whatever the completion order.
+	tables, err := experiments.RunAllObserved(toRun, *workers, of.Reg)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
+	for _, tbl := range tables {
+		fmt.Fprintln(out, tbl)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "trace: wrote %d events to %s\n", rec.TotalLen(), path)
-	return nil
-}
-
-// printMetrics appends the registry snapshot to the report when -metrics
-// is set. Wall-clock span durations are included: this output is for
-// humans, not golden files.
-func printMetrics(out io.Writer, enabled bool, reg *obs.Registry) error {
-	if !enabled {
-		return nil
-	}
-	_, err := fmt.Fprintf(out, "metrics:\n%s", reg.Snapshot(obs.WithWall()).String())
-	return err
+	return of.Finish(out)
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sudc/internal/obs/trace"
+	"sudc/internal/obsflag"
 )
 
 func runCmd(t *testing.T, args ...string) string {
@@ -64,18 +67,19 @@ func TestAblationsFlag(t *testing.T) {
 }
 
 func TestParallelGoldenOutput(t *testing.T) {
-	// -parallel must render byte-identical output to the serial run, for
-	// any worker count, across paper exhibits and extensions alike.
-	serial := runCmd(t)
-	for _, w := range []string{"1", "2", "8"} {
-		got := runCmd(t, "-parallel", "-workers", w)
-		if got != serial {
-			t.Errorf("-parallel -workers %s output differs from serial run", w)
+	// The output must be byte-identical for any worker count, across
+	// paper exhibits and extensions alike; -workers 1 is the serial run.
+	serial := runCmd(t, "-workers", "1")
+	for _, w := range []string{"2", "8"} {
+		if got := runCmd(t, "-workers", w); got != serial {
+			t.Errorf("-workers %s output differs from -workers 1", w)
 		}
 	}
-	serialExt := runCmd(t, "-extensions")
-	if got := runCmd(t, "-extensions", "-parallel"); got != serialExt {
-		t.Error("-extensions -parallel output differs from serial run")
+	serialExt := runCmd(t, "-extensions", "-workers", "1")
+	for _, w := range []string{"2", "8"} {
+		if got := runCmd(t, "-extensions", "-workers", w); got != serialExt {
+			t.Errorf("-extensions -workers %s output differs from -workers 1", w)
+		}
 	}
 }
 
@@ -93,7 +97,9 @@ func TestMetricsFlagSerial(t *testing.T) {
 }
 
 func TestMetricsFlagParallelRecordsEngine(t *testing.T) {
-	out := runCmd(t, "-only", "Figure 12", "-parallel", "-metrics")
+	// Every run goes through the parallel engine, so -metrics always
+	// reports its counters.
+	out := runCmd(t, "-only", "Figure 12", "-metrics")
 	for _, want := range []string{
 		"counter experiments/exhibits 1",
 		"counter par/runs",
@@ -101,7 +107,7 @@ func TestMetricsFlagParallelRecordsEngine(t *testing.T) {
 		"span experiments/Figure 12 count=1",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("-parallel -metrics output missing %q:\n%s", want, out)
+			t.Errorf("-metrics output missing %q:\n%s", want, out)
 		}
 	}
 	// The observer must be uninstalled on return: a later run without
@@ -152,4 +158,26 @@ func TestTraceOutRecordsExhibitSpans(t *testing.T) {
 	if !found {
 		t.Errorf("trace missing the exhibit span; %d events", rec.Len())
 	}
+}
+
+func TestSharedObsFlags(t *testing.T) {
+	// experiments declares no observability flag itself: its -h output
+	// carries package obsflag's four blocks — name, type, usage, and
+	// default — exactly.
+	var usage strings.Builder
+	if err := run([]string{"-h"}, &usage); err != flag.ErrHelp {
+		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	obsflag.Register(shared)
+	shared.VisitAll(func(fl *flag.Flag) {
+		one := flag.NewFlagSet("one", flag.ContinueOnError)
+		var block bytes.Buffer
+		one.SetOutput(&block)
+		one.Var(fl.Value, fl.Name, fl.Usage)
+		one.PrintDefaults()
+		if !strings.Contains(usage.String(), block.String()) {
+			t.Errorf("usage lacks the shared flag block:\n%s", block.String())
+		}
+	})
 }

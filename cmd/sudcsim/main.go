@@ -77,21 +77,23 @@
 //	-place-compress a  onboard compression before downlink: none, ccsds,
 //	                 jpeg2000, neural (default none)
 //
-// Observability:
+// Observability (-metrics, -trace, -trace-out and -pprof are shared
+// with sudctool and experiments through package obsflag):
 //
 //	-metrics         print the run's metric snapshot (counters, queue-depth /
-//	                 availability / retry time series, latency histogram)
+//	                 availability / retry time series, latency histogram,
+//	                 span wall times)
 //	-window m        tumbling telemetry window in minutes (0 = off; -slo
-//	                 and -watch default it to 10). Windows merge at the
-//	                 cross-cell watermark, so the stream is byte-identical
+//	                 and -watch default it to 10). Every run seals its
+//	                 windows when it ends, merging the cells' fragments in
+//	                 (window, cell) order, so the stream is byte-identical
 //	                 for any -shards value
 //	-slo             evaluate the mission SLOs (availability, frame p99,
 //	                 loss rate, $/frame vs the oracle floor) per window
 //	                 and print the burn-rate report; alerts also land in
 //	                 -trace-out recordings with attributed causes
-//	-watch           print one line per completed window; the star and
-//	                 other cells without incoming cross-cell edges seal
-//	                 their windows when the run ends
+//	-watch           print one line per window, in index order, once the
+//	                 run has sealed them
 //	-trace           stream span trace lines as stages complete
 //	-trace-out file  write the frame-lineage flight recording (per-frame
 //	                 lifecycle + fault events) as JSONL; analyze with sudcmon
@@ -108,10 +110,9 @@ import (
 
 	"sudc/internal/degrade"
 	"sudc/internal/netsim"
-	"sudc/internal/obs"
 	"sudc/internal/obs/slo"
-	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/obsflag"
 	"sudc/internal/placement"
 	"sudc/internal/scenario"
 	"sudc/internal/units"
@@ -132,36 +133,17 @@ func run(args []string, out io.Writer) error {
 	throttleShed := fs.Bool("throttle-shed", false, "scale the shed threshold with the throttle multiplier")
 	deferEclipse := fs.Bool("defer-eclipse", false, "defer partial-batch timeouts past the eclipse window")
 	horizonYears := fs.Float64("horizon-years", 0, "run the compressed-horizon survivability program over this many years")
-	metrics := fs.Bool("metrics", false, "print the run's metric snapshot")
 	windowMin := fs.Float64("window", 0, "tumbling telemetry window in minutes (0 = off)")
 	sloOn := fs.Bool("slo", false, "evaluate mission SLOs per window and print the burn-rate report")
-	watch := fs.Bool("watch", false, "print one line per completed telemetry window (star runs seal theirs at run end)")
-	traceSpans := fs.Bool("trace", false, "stream span trace lines as stages complete")
-	traceOut := fs.String("trace-out", "", "write the frame-lineage flight recording to this JSONL file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
+	watch := fs.Bool("watch", false, "print one line per telemetry window once the run has sealed them")
+	of := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var reg *obs.Registry
-	if *metrics || *traceSpans || *traceOut != "" || *pprofAddr != "" {
-		reg = obs.New()
-		if *traceSpans {
-			reg.SetTraceWriter(out)
-		}
+	if err := of.Start(out); err != nil {
+		return err
 	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New(0)
-		reg.SetSpanSink(rec)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
-	}
+	reg := of.Reg
 
 	cal, err := degrade.CalibrationByName(sf.COTS)
 	if err != nil {
@@ -185,7 +167,7 @@ func run(args []string, out io.Writer) error {
 		cfg.DeferInEclipse = *deferEclipse
 	}
 	cfg.Obs = reg.Scope("netsim")
-	cfg.Trace = rec
+	cfg.Trace = of.Rec
 
 	if *windowMin < 0 {
 		return fmt.Errorf("sudcsim: -window must be non-negative, got %v", *windowMin)
@@ -303,16 +285,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		slo.WriteReport(out, sloCfg, wins, slo.Run(sloCfg, wins))
 	}
-	if *metrics {
-		fmt.Fprintf(out, "\nmetrics:\n%s", reg.Snapshot().String())
-	}
-	if *traceOut != "" {
-		if err := writeTrace(rec, *traceOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\ntrace: wrote %d events to %s\n", rec.TotalLen(), *traceOut)
-	}
-	return nil
+	return of.Finish(out)
 }
 
 // runSurvivability executes the compressed-horizon program: the
@@ -340,17 +313,4 @@ func runSurvivability(out io.Writer, p degrade.Profile, years float64, seed int6
 			y.Year, y.MeanOperational, 100*y.Availability, y.MeanCapacity)
 	}
 	return nil
-}
-
-// writeTrace dumps the flight recording as JSONL to path.
-func writeTrace(rec *trace.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

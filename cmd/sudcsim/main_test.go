@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sudc/internal/obs/trace"
+	"sudc/internal/obsflag"
 	"sudc/internal/scenario"
 )
 
@@ -359,12 +360,29 @@ func TestSharedScenarioFlags(t *testing.T) {
 	// sudcsim's -h output carries every shared scenario flag's usage
 	// block — name, type, usage, and default — exactly as package
 	// scenario declares it.
+	if n := checkFlagBlocks(t, func(fs *flag.FlagSet) { scenario.Register(fs) }); n != 29 {
+		t.Errorf("scenario.Register declares %d flags, want 29", n)
+	}
+}
+
+func TestSharedObsFlags(t *testing.T) {
+	// Likewise for the observability flags package obsflag declares;
+	// sudcsim declares none of them itself.
+	if n := checkFlagBlocks(t, func(fs *flag.FlagSet) { obsflag.Register(fs) }); n != 4 {
+		t.Errorf("obsflag.Register declares %d flags, want 4", n)
+	}
+}
+
+// checkFlagBlocks asserts that sudcsim's -h output contains the usage
+// block of every flag register declares, and returns the flag count.
+func checkFlagBlocks(t *testing.T, register func(*flag.FlagSet)) int {
+	t.Helper()
 	var usage strings.Builder
 	if err := run([]string{"-h"}, &usage); err != flag.ErrHelp {
 		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
 	}
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
-	scenario.Register(shared)
+	register(shared)
 	n := 0
 	shared.VisitAll(func(fl *flag.Flag) {
 		n++
@@ -377,7 +395,5 @@ func TestSharedScenarioFlags(t *testing.T) {
 			t.Errorf("usage lacks the shared flag block:\n%s", block.String())
 		}
 	})
-	if n != 29 {
-		t.Errorf("scenario.Register declares %d flags, want 29", n)
-	}
+	return n
 }

@@ -1,19 +1,23 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sudc/internal/obs/trace"
+	"sudc/internal/obsflag"
 )
 
 func runTool(t *testing.T, args ...string) string {
 	t.Helper()
 	var b strings.Builder
-	if err := run(args, &b); err != nil {
+	if err := run(args, &b, io.Discard); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
 	return b.String()
@@ -44,7 +48,7 @@ func TestDeviceSelection(t *testing.T) {
 
 func TestUnknownDevice(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-device", "TPUv9"}, &b); err == nil {
+	if err := run([]string{"-device", "TPUv9"}, &b, io.Discard); err == nil {
 		t.Error("unknown device must error")
 	}
 }
@@ -60,7 +64,7 @@ func TestCompressionFlag(t *testing.T) {
 		t.Error("compression must change the design")
 	}
 	var b strings.Builder
-	if err := run([]string{"-compress", "zip"}, &b); err == nil {
+	if err := run([]string{"-compress", "zip"}, &b, io.Discard); err == nil {
 		t.Error("unknown compression must error")
 	}
 }
@@ -88,14 +92,14 @@ func TestProductionRun(t *testing.T) {
 
 func TestBadFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-nonsense"}, &b); err == nil {
+	if err := run([]string{"-nonsense"}, &b, io.Discard); err == nil {
 		t.Error("unknown flag must error")
 	}
 }
 
 func TestInvalidPower(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-power", "0"}, &b); err == nil {
+	if err := run([]string{"-power", "0"}, &b, io.Discard); err == nil {
 		t.Error("zero power must error")
 	}
 }
@@ -128,7 +132,7 @@ func TestTraceFlag(t *testing.T) {
 
 func TestBadPprofAddr(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-pprof", "not-an-address"}, &b); err == nil {
+	if err := run([]string{"-pprof", "not-an-address"}, &b, io.Discard); err == nil {
 		t.Error("unbindable pprof address must error")
 	}
 }
@@ -179,4 +183,48 @@ func TestTraceOutRecordsSpans(t *testing.T) {
 	if !names["sudctool/build"] || !names["sudctool/cost"] {
 		t.Errorf("span trace missing stages, got %v", names)
 	}
+}
+
+func TestJSONStdoutIsOneValueUnderObsFlags(t *testing.T) {
+	// -json keeps stdout a single JSON document: the -metrics snapshot
+	// and the -trace span lines go to stderr instead.
+	var stdout, stderr strings.Builder
+	if err := run([]string{"-json", "-metrics", "-trace"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(stdout.String()))
+	var report map[string]any
+	if err := dec.Decode(&report); err != nil {
+		t.Fatalf("stdout does not start with a JSON value: %v\n%s", err, stdout.String())
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Errorf("stdout holds more than one JSON value (next token: %v):\n%s", err, stdout.String())
+	}
+	for _, want := range []string{"metrics:", "trace sudctool/build wall="} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+func TestSharedObsFlags(t *testing.T) {
+	// sudctool declares no observability flag itself: its -h output
+	// carries package obsflag's four blocks — name, type, usage, and
+	// default — exactly.
+	var usage strings.Builder
+	if err := run([]string{"-h"}, &usage, io.Discard); err != flag.ErrHelp {
+		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	obsflag.Register(shared)
+	shared.VisitAll(func(fl *flag.Flag) {
+		one := flag.NewFlagSet("one", flag.ContinueOnError)
+		var block bytes.Buffer
+		one.SetOutput(&block)
+		one.Var(fl.Value, fl.Name, fl.Usage)
+		one.PrintDefaults()
+		if !strings.Contains(usage.String(), block.String()) {
+			t.Errorf("usage lacks the shared flag block:\n%s", block.String())
+		}
+	})
 }

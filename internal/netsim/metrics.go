@@ -7,8 +7,8 @@ import (
 	"sudc/internal/placement"
 )
 
-// DefaultSampleEvery is the simulated-time sampling period for the
-// observability time series when Config.SampleEvery is zero.
+// DefaultSampleEvery is the simulated-time sampling period of the
+// observability time series.
 const DefaultSampleEvery = time.Minute
 
 // Histogram bucket bounds, in seconds.
@@ -96,11 +96,8 @@ type recorder struct {
 // newRecorder builds the run's recorder. The caller configures the
 // simulator's link array first: the per-edge ISL depth series are laid
 // out one per link, in link order.
-func newRecorder(reg *obs.Registry, every time.Duration, sim *simulator) *recorder {
-	period := every.Seconds()
-	if period <= 0 {
-		period = DefaultSampleEvery.Seconds()
-	}
+func newRecorder(reg *obs.Registry, sim *simulator) *recorder {
+	period := DefaultSampleEvery.Seconds()
 	r := &recorder{
 		sim:        sim,
 		period:     period,

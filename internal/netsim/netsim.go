@@ -96,14 +96,11 @@ type Config struct {
 	// Obs, when non-nil, receives this run's observability stream:
 	// frame counters, the latency and retry-backoff histograms, and
 	// queue-depth/backlog/retry/shed/availability time series sampled
-	// on the simulated clock every SampleEvery. Because sampling is
-	// keyed to simulated time only, the stream is byte-identical for
+	// on the simulated clock every DefaultSampleEvery. Because sampling
+	// is keyed to simulated time only, the stream is byte-identical for
 	// any process worker count. Each run needs its own registry or
 	// scope; RunReplicas scopes one per replica automatically.
 	Obs *obs.Registry
-	// SampleEvery is the simulated-time sampling period for the Obs
-	// time series (0 = DefaultSampleEvery; negative is invalid).
-	SampleEvery time.Duration
 
 	// Topology is the constellation graph the run simulates: frames
 	// route along graph edges toward their nearest SµDC, every ISL edge
@@ -174,20 +171,18 @@ type Config struct {
 	// Window, when positive, enables windowed mission telemetry:
 	// tumbling sim-time windows of frame counters, fixed-bucket latency
 	// quantiles, and environment occupancy (eclipse, throttle,
-	// brownout, ISL outage), merged across topology cells at the
-	// conservative cross-cell watermark — the minimum next event time
-	// over all cells and in-flight messages, where every cell's
-	// environment is provably constant. The merged stream is therefore
-	// byte-identical for any Shards value or process worker count. Zero
-	// disables windowing at the cost of one nil check per event.
+	// brownout, ISL outage). Each topology cell collects its own
+	// fragments; when the run ends they are merged once with
+	// window.Merge, in (window index, cell) order, so the stream is
+	// byte-identical for any Shards value or process worker count.
+	// Zero disables windowing at the cost of one nil check per event.
 	Window time.Duration
-	// OnWindow, when non-nil, observes each completed merged window in
-	// index order, at the watermark that sealed it. A cell with no
-	// incoming cross-cell edges (the star included) runs to the horizon
-	// in one round, so its windows are sealed when the run ends; the
-	// stream's bytes do not depend on when it is delivered. Requires
-	// Window > 0. Per-run state: RunReplicas rejects it (replicas would
-	// interleave their streams nondeterministically).
+	// OnWindow, when non-nil, observes each merged window in index
+	// order. Every run seals its windows when it ends, so the callback
+	// runs after the simulation and before the SLO evaluation, with the
+	// same bytes and order for any graph. Requires Window > 0. Per-run
+	// state: RunReplicas rejects it (replicas would interleave their
+	// streams nondeterministically).
 	OnWindow func(window.Window)
 	// SLO, when non-nil, evaluates the declared objectives over the
 	// window stream with multi-window burn-rate alerting once the run
@@ -308,9 +303,6 @@ func (c Config) Validate() error {
 	}
 	if c.ShedThreshold < ShedAll {
 		return fmt.Errorf("netsim: shed threshold %d below ShedAll (%d)", c.ShedThreshold, ShedAll)
-	}
-	if c.SampleEvery < 0 {
-		return errors.New("netsim: negative sample period")
 	}
 	if c.Degrade != nil {
 		if err := c.Degrade.Validate(); err != nil {

@@ -7,10 +7,7 @@ package netsim
 // constant service times — a derated flight computer per satellite
 // (onboard), a finite premium GPU pool behind the shared downlink
 // (ground edge), and an elastic pool behind the downlink plus WAN
-// (cloud). Because every tier's service time is a per-run constant,
-// in-service frames complete in dispatch order, so one serving deque
-// per tier replaces per-server state and the engine stays
-// allocation-free in steady state.
+// (cloud). Each of the three is one station (see below).
 //
 // Determinism contract: routing decisions are pure functions of the
 // priced model and the observed queue lengths — no RNG draws, no seed
@@ -20,6 +17,7 @@ package netsim
 // fields and the "placed" trace lines.
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -44,13 +42,13 @@ func (s *simulator) setPlacement(pc *placement.Config, cells int) {
 	s.dlSendTime = s.frameBits / pc.Ratio() / (float64(pc.DownlinkRate) / float64(cells))
 	s.accessDelay = pc.AccessDelay.Seconds()
 	s.wanDelay = pc.WANDelay.Seconds()
-	s.onboardSvc = pc.Model.Tiers[placement.TierOnboard].ServiceTime
-	s.edgeSvc = pc.Model.Tiers[placement.TierGroundEdge].ServiceTime
-	s.cloudSvc = pc.Model.Tiers[placement.TierCloud].ServiceTime
+	tiers := &pc.Model.Tiers
 	// One flight computer per satellite; the cell's onboard capacity is
 	// its satellite population (the pool approximation: any satellite's
 	// computer can serve, which upper-bounds the per-satellite truth).
-	s.onboardServers = s.totalSats
+	s.onboard.reset(s.totalSats, tiers[placement.TierOnboard].ServiceTime, evOnboardDone)
+	s.edge.reset(pc.EdgeServers, tiers[placement.TierGroundEdge].ServiceTime, evEdgeDone)
+	s.cloud.reset(math.MaxInt, tiers[placement.TierCloud].ServiceTime, evCloudDone)
 	// The zero-queue base tier: where the policy sends a frame when no
 	// queue pressures it elsewhere. Decide draws no RNG, so probing it
 	// here leaves the run's stream untouched; a routing that deviates
@@ -80,28 +78,66 @@ func (s *simulator) route(f frame, sat int) {
 		s.links[ei].queue.pushBack(f)
 		s.attemptISL(ei)
 	case placement.TierOnboard:
-		if s.onboardBusy < s.onboardServers {
-			s.onboardBusy++
-			s.startPlaced(&s.onboardRun, f, evOnboardDone, s.onboardSvc)
-		} else {
-			s.onboardQ.pushBack(f)
-		}
+		s.admit(&s.onboard, f)
 	default: // ground-bound: the shared downlink first
 		s.dlQueue.pushBack(f)
 		s.attemptDownlink()
 	}
 }
 
-// startPlaced begins constant-time service for a placed frame: it
-// joins the tier's FIFO serving deque and its completion event fires
-// svc seconds later. Dispatched is recorded with Node -1 — tier
-// servers are not SµDC workers.
-func (s *simulator) startPlaced(run *frameDeque, f frame, kind int, svc float64) {
-	run.pushBack(f)
+// station is one off-SµDC tier's server pool: frames wait FIFO for one
+// of its servers, each serving one frame in a constant time. Because
+// the service time is a per-run constant, in-service frames complete in
+// dispatch order, so one serving deque replaces per-server state and
+// the engine stays allocation-free in steady state.
+type station struct {
+	wait, run     frameDeque // frames waiting for a server; frames in service
+	busy, servers int
+	svc           float64 // per-frame service time, s
+	done          int     // completion event kind
+}
+
+// reset empties the station and configures its pool.
+func (st *station) reset(servers int, svc float64, done int) {
+	st.wait.reset()
+	st.run.reset()
+	st.busy, st.servers, st.svc, st.done = 0, servers, svc, done
+}
+
+// admit starts a frame's service on a free server, or queues it.
+func (s *simulator) admit(st *station, f frame) {
+	if st.busy < st.servers {
+		st.busy++
+		s.startPlaced(st, f)
+	} else {
+		st.wait.pushBack(f)
+	}
+}
+
+// serve completes the station's oldest in-service frame and hands the
+// freed server to the next waiting frame.
+func (s *simulator) serve(st *station) {
+	f := st.run.popFront()
+	st.busy--
+	s.stats.FramesProcessed++
+	s.win.Count(window.CntProcessed, 1)
+	s.frameDone(f, -1)
+	if st.wait.len() > 0 {
+		st.busy++
+		s.startPlaced(st, st.wait.popFront())
+	}
+}
+
+// startPlaced begins a placed frame's service: it joins the station's
+// serving deque and its completion event fires svc seconds later.
+// Dispatched is recorded with Node -1 — tier servers are not SµDC
+// workers.
+func (s *simulator) startPlaced(st *station, f frame) {
+	st.run.pushBack(f)
 	if s.tr != nil {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.Dispatched, Frame: f.id, Node: -1})
 	}
-	s.push(event{at: s.now + svc, kind: kind})
+	s.push(event{at: s.now + st.svc, kind: st.done})
 }
 
 // attemptDownlink starts the shared downlink's head-frame transmission.
@@ -144,31 +180,6 @@ func (s *simulator) downlinkDone() {
 	s.attemptDownlink()
 }
 
-// completePlaced finishes a frame computed off the SµDC path: latency,
-// per-tier accounting, and the analyzer's insight decision replayed
-// from the value drawn at capture.
-func (s *simulator) completePlaced(f frame) {
-	lat := s.now - f.born
-	s.stats.FramesProcessed++
-	s.win.Count(window.CntProcessed, 1)
-	s.latencies = append(s.latencies, lat)
-	s.win.Latency(lat)
-	if s.rec != nil {
-		s.rec.latency.Observe(lat)
-	}
-	if s.tr != nil {
-		s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd, Frame: f.id, Node: -1})
-	}
-	s.accountTier(placement.Tier(f.tier), lat)
-	if f.value >= 1-s.c.InsightFraction {
-		s.stats.InsightsDownlinked++
-		s.win.Count(window.CntInsights, 1)
-		if s.tr != nil {
-			s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked, Frame: f.id, Node: -1})
-		}
-	}
-}
-
 // accountTier records one completed frame's tier outcome. The realized
 // per-frame cost is the tier's amortized dollars plus the
 // latency-weighted end-to-end latency — which is what makes the Oracle
@@ -185,11 +196,24 @@ func (s *simulator) accountTier(t placement.Tier, lat float64) {
 }
 
 // finishPlacement assembles the per-tier Stats at the end of a run.
+// A multi-cell run summarizes tier latency over the merged samples
+// instead (see shardRunner.finish).
 func (s *simulator) finishPlacement(stats *Stats) {
-	for t := range s.tierLats {
-		stats.TierFrames[t] = s.tierFrames[t]
-		stats.TierDollars[t] = s.tierDollars[t]
-		v := s.tierLats[t]
+	stats.TierFrames = s.tierFrames
+	stats.TierDollars = s.tierDollars
+	if !s.mergeLat {
+		summarizeTiers(stats, &s.tierLats)
+	}
+	if stats.FramesProcessed > 0 {
+		stats.PlacedMeanCost = s.placeCostSum / float64(stats.FramesProcessed)
+	}
+	stats.OracleMeanCost = s.pmodel.OracleCost()
+}
+
+// summarizeTiers sets each tier's mean and p99 latency from its samples,
+// sorting them in place; tiers with no samples stay zero.
+func summarizeTiers(stats *Stats, lats *[placement.NumTiers][]float64) {
+	for t, v := range lats {
 		if len(v) == 0 {
 			continue
 		}
@@ -201,8 +225,4 @@ func (s *simulator) finishPlacement(stats *Stats) {
 		stats.TierMeanLatency[t] = time.Duration(sum / float64(len(v)) * float64(time.Second))
 		stats.TierP99Latency[t] = time.Duration(latency.Quantile(v, 0.99) * float64(time.Second))
 	}
-	if stats.FramesProcessed > 0 {
-		stats.PlacedMeanCost = s.placeCostSum / float64(stats.FramesProcessed)
-	}
-	stats.OracleMeanCost = s.pmodel.OracleCost()
 }

@@ -56,7 +56,6 @@ import (
 
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
-	"sudc/internal/obs/latency"
 	"sudc/internal/obs/window"
 	"sudc/internal/par"
 	"sudc/internal/placement"
@@ -113,11 +112,9 @@ type shardRunner struct {
 
 	syncStats SyncStats
 
-	// winM merges per-cell window fragments at the cross-cell watermark
-	// (nil when Config.Window is zero); winNext is the next window
-	// boundary to cross, so rounds between boundaries skip the flush.
-	winM    *window.Merger
-	winNext float64
+	// frags collects every cell's window fragments as the cell finishes
+	// (empty when Config.Window is zero); runTopology merges them once.
+	frags []window.Fragment
 
 	weights []int // per-cell worker counts, for merging
 	linksN  []int // per-cell link counts
@@ -155,10 +152,6 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 				r.hasCross = true
 			}
 		}
-	}
-	if c.Window > 0 {
-		r.winM = window.NewMerger(c.Window.Seconds(), c.OnWindow)
-		r.winNext = c.Window.Seconds()
 	}
 	r.eff = c.Shards
 	if r.eff <= 0 {
@@ -265,7 +258,6 @@ func (r *shardRunner) window() bool {
 		r.sims[c].outbox = r.sims[c].outbox[:0]
 	}
 	r.syncStats.CrossMsgs += nmsg
-	r.flushWindows()
 	return true
 }
 
@@ -469,44 +461,6 @@ func (r *shardRunner) mergeOutboxes(n int) {
 	}
 }
 
-// flushWindows advances every cell's window collector to the
-// cross-cell watermark — the minimum next event time over all cells
-// and in-flight messages, capped at the horizon — and folds the closed
-// fragments into the merger. Below the watermark every cell's
-// environment is provably constant (its own next event and every
-// message that could perturb it lie at or beyond it), so the advance
-// is exact. Rounds whose watermark has not crossed the next window
-// boundary skip the O(cells) drain entirely: the fragments fold
-// identically once the boundary is crossed, because each cell's
-// occupancy between its own events is constant. The watermark and the
-// cell drain order are pure functions of the config, never of
-// Config.Shards, so the merged window stream inherits the
-// byte-identity contract.
-func (r *shardRunner) flushWindows() {
-	if r.winM == nil {
-		return
-	}
-	wm := r.next.minKey()
-	if len(r.pending) > 0 && r.pending[0].at < wm {
-		wm = r.pending[0].at
-	}
-	if wm > r.horizon {
-		wm = r.horizon
-	}
-	if wm < r.winNext {
-		return
-	}
-	for _, s := range r.sims {
-		s.win.Advance(wm, s.winEnv())
-		for _, f := range s.win.Drain() {
-			r.winM.Add(f)
-		}
-	}
-	r.winM.Flush(wm)
-	width := r.c.Window.Seconds()
-	r.winNext = (math.Floor(wm/width) + 1) * width
-}
-
 // finish retires the worker pool, closes every cell, and merges the
 // per-cell Stats: frame counters sum, availability-style fractions
 // average weighted by worker count (so worker-less relay cells drop
@@ -520,9 +474,8 @@ func (r *shardRunner) finish() Stats {
 		// exact float identity).
 		s := r.sims[0]
 		cs := s.finish()
-		s.closeWindows(r.winM)
+		r.frags = s.closeWindows(r.frags)
 		putSim(s)
-		r.sealWindows()
 		return cs
 	}
 	var out Stats
@@ -576,10 +529,9 @@ func (r *shardRunner) finish() Stats {
 			r.placeCost += s.placeCostSum
 			out.OracleMeanCost = cs.OracleMeanCost
 		}
-		s.closeWindows(r.winM)
+		r.frags = s.closeWindows(r.frags)
 		putSim(s)
 	}
-	r.sealWindows()
 	// A frame that crossed cells counts +1 in its producer's generated
 	// and −1 via its consumer's processed/shed/lost, so the global sum
 	// is the true in-flight backlog.
@@ -606,19 +558,7 @@ func (r *shardRunner) finish() Stats {
 		out.P95Latency = time.Duration(p95 * float64(time.Second))
 	}
 	if r.c.Placement != nil {
-		for t := range r.tierLat {
-			v := r.tierLat[t]
-			if len(v) == 0 {
-				continue
-			}
-			sort.Float64s(v)
-			var sum float64
-			for _, l := range v {
-				sum += l
-			}
-			out.TierMeanLatency[t] = time.Duration(sum / float64(len(v)) * float64(time.Second))
-			out.TierP99Latency[t] = time.Duration(latency.Quantile(v, 0.99) * float64(time.Second))
-		}
+		summarizeTiers(&out, &r.tierLat)
 		if out.FramesProcessed > 0 {
 			out.PlacedMeanCost = r.placeCost / float64(out.FramesProcessed)
 		}
@@ -626,14 +566,6 @@ func (r *shardRunner) finish() Stats {
 	out.KeptUp = out.Backlog <= 2*r.c.BatchSize*totalWorkers
 	out.Sync = r.syncStats
 	return out
-}
-
-// sealWindows flushes the trailing windows (including a partial one)
-// after every cell has closed.
-func (r *shardRunner) sealWindows() {
-	if r.winM != nil {
-		r.winM.Flush(math.Inf(1))
-	}
 }
 
 // selectKth returns the k-th smallest element (0-indexed) of a,
@@ -760,8 +692,16 @@ func runTopology(c Config) (Stats, error) {
 	for r.window() {
 	}
 	stats := r.finish()
-	if r.winM != nil {
-		emitSLO(c, r.winM.Windows())
+	if c.Window > 0 {
+		// Every cell has finished: seal the windows once, in index order,
+		// with the same (index, cell) fold slo.WindowsFromTrace uses.
+		wins := window.Merge(c.Window.Seconds(), r.frags)
+		if c.OnWindow != nil {
+			for _, w := range wins {
+				c.OnWindow(w)
+			}
+		}
+		emitSLO(c, wins)
 	}
 	return stats, nil
 }

@@ -173,35 +173,25 @@ type simulator struct {
 	msgScratch []shardMsg
 
 	// Placement engine (place == nil when the run has no placement;
-	// every hot-path hook then reduces to one nil check). All service
-	// times per tier are constants, so each tier's in-service frames
-	// complete in dispatch order and a single FIFO deque per tier
-	// suffices — no per-server state.
-	place          *placement.Config
-	pmodel         placement.Model
-	queueLen       [placement.NumTiers]int // frames waiting or in service per tier
-	onboardQ       frameDeque              // frames waiting for a flight computer
-	onboardRun     frameDeque              // frames in flight-computer service, FIFO
-	onboardBusy    int
-	onboardServers int        // the cell's satellite count: one flight computer each
-	dlQueue        frameDeque // ground-bound frames waiting for (or crossing) the downlink
-	dlSending      bool
-	edgeWait       frameDeque // downlinked frames in access+propagation to the edge
-	cloudWait      frameDeque // downlinked frames in access+WAN to the cloud
-	edgeQ          frameDeque // frames waiting for an edge server
-	edgeRun        frameDeque // frames in edge service, FIFO
-	edgeBusy       int
-	cloudRun       frameDeque // frames in (elastic) cloud service, FIFO
-	dlSendTime     float64    // per-frame downlink transmission time, s
-	accessDelay    float64    // mean wait for a usable ground pass, s
-	wanDelay       float64    // ground-station-to-cloud backhaul, s
-	onboardSvc     float64    // per-tier unloaded service times, s
-	edgeSvc        float64
-	cloudSvc       float64
-	tierLats       [placement.NumTiers][]float64
-	tierFrames     [placement.NumTiers]int
-	tierDollars    [placement.NumTiers]float64
-	placeCostSum   float64 // Σ realized per-frame cost over completed frames
+	// every hot-path hook then reduces to one nil check).
+	place       *placement.Config
+	pmodel      placement.Model
+	queueLen    [placement.NumTiers]int // frames waiting or in service per tier
+	onboard     station                 // one flight computer per satellite
+	edge        station                 // the ground-edge GPU pool
+	cloud       station                 // the elastic cloud: never queues
+	dlQueue     frameDeque              // ground-bound frames waiting for (or crossing) the downlink
+	dlSending   bool
+	edgeWait    frameDeque // downlinked frames in access+propagation to the edge
+	cloudWait   frameDeque // downlinked frames in access+WAN to the cloud
+	dlSendTime  float64    // per-frame downlink transmission time, s
+	accessDelay float64    // mean wait for a usable ground pass, s
+	wanDelay    float64    // ground-station-to-cloud backhaul, s
+	tierLats    [placement.NumTiers][]float64
+	tierFrames  [placement.NumTiers]int
+	tierDollars [placement.NumTiers]float64
+	// placeCostSum is Σ realized per-frame cost over completed frames.
+	placeCostSum float64
 
 	// Degradation replay (deg == nil when the run is degradation-free;
 	// every hot-path hook below then reduces to one nil/false check).
@@ -217,8 +207,8 @@ type simulator struct {
 	brownoutIdx  int     // brownout ordinal, for cause attribution
 
 	// Windowed telemetry (win == nil when Config.Window is zero; every
-	// hot-path hook then reduces to one nil check). The shard runner
-	// drains each cell's collector at the cross-cell watermark.
+	// hot-path hook then reduces to one nil check). The collector holds
+	// the cell's fragments until the run ends and the runner merges them.
 	win       *window.Collector
 	downLinks int            // ISL edges currently in outage
 	placeBase placement.Tier // zero-queue base tier of the placement policy
@@ -338,17 +328,10 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	s.now = 0
 
 	s.queueLen = [placement.NumTiers]int{}
-	s.onboardQ.reset()
-	s.onboardRun.reset()
-	s.onboardBusy, s.onboardServers = 0, 0
 	s.dlQueue.reset()
 	s.dlSending = false
 	s.edgeWait.reset()
 	s.cloudWait.reset()
-	s.edgeQ.reset()
-	s.edgeRun.reset()
-	s.edgeBusy = 0
-	s.cloudRun.reset()
 	for i := range s.tierLats {
 		s.tierLats[i] = s.tierLats[i][:0]
 	}
@@ -381,8 +364,6 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	s.setPlacement(c.Placement, cells)
 	s.win = nil
 	if c.Window > 0 {
-		// The cell collects its own fragments; the shard runner owns the
-		// merger and drains every cell at the cross-cell watermark.
 		s.win = window.NewCollector(c.Window.Seconds(), cell)
 	}
 
@@ -428,7 +409,7 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 
 	s.rec = nil
 	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
+		s.rec = newRecorder(c.Obs, s)
 	}
 	s.seedEvents(sched)
 	if s.deg != nil {
@@ -582,8 +563,7 @@ func (s *simulator) accrue(t float64) {
 	s.lastT = t
 	if s.win != nil {
 		// The environment has been constant since the previous event, so
-		// the span [lastT, t) integrates exactly. Closed fragments wait
-		// for the shard runner's cross-cell watermark.
+		// the span [lastT, t) integrates exactly.
 		s.win.Advance(t, s.winEnv())
 	}
 }
@@ -602,18 +582,16 @@ func (s *simulator) winEnv() window.Env {
 	}
 }
 
-// closeWindows finalizes the window stream after finish(): occupancy
-// runs out to the horizon, the trailing partial window closes, and
-// every remaining fragment folds into the merger.
-func (s *simulator) closeWindows(m *window.Merger) {
+// closeWindows finalizes the cell's window stream after finish() —
+// occupancy runs out to the horizon and the trailing partial window
+// closes — and appends every fragment, in index order, to frags.
+func (s *simulator) closeWindows(frags []window.Fragment) []window.Fragment {
 	if s.win == nil {
-		return
+		return frags
 	}
 	s.win.Advance(s.horizon, s.winEnv())
 	s.win.Close()
-	for _, f := range s.win.Drain() {
-		m.Add(f)
-	}
+	return append(frags, s.win.Drain()...)
 }
 
 func (s *simulator) recount() {
@@ -811,6 +789,71 @@ func (s *simulator) dispatch(si int, force bool) {
 	}
 }
 
+// strand returns the batch in flight on worker w — stopped by a node
+// death or parked by a brownout — to the head of its SµDC's input
+// queue in, in batch order, for re-dispatch; cause labels each frame's
+// re-enqueue in the trace.
+func (s *simulator) strand(w *workerState, in *frameDeque, cause string) {
+	w.busy = false
+	w.gen++
+	s.busySum -= w.doneAt - s.now
+	s.stats.FramesRedispatched += len(w.batch)
+	s.win.Count(window.CntRedispatched, int64(len(w.batch)))
+	if s.tr != nil {
+		for _, f := range w.batch {
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
+				Frame: f.id, Node: -1, Cause: cause})
+		}
+	}
+	for i := len(w.batch) - 1; i >= 0; i-- {
+		in.pushFront(w.batch[i])
+	}
+	if in.len() > s.stats.MaxInputQueue {
+		s.stats.MaxInputQueue = in.len()
+	}
+	s.putBatch(w.batch)
+	w.batch = nil
+}
+
+// frameDone completes one processed frame on node (a worker index, or
+// -1 for a placement-tier server): its end-to-end latency, the per-tier
+// accounting, and the analyzer's insight decision replayed from the
+// value drawn at capture. The caller has counted it processed.
+func (s *simulator) frameDone(f frame, node int) {
+	lat := s.now - f.born
+	s.latencies = append(s.latencies, lat)
+	s.win.Latency(lat)
+	if s.rec != nil {
+		s.rec.latency.Observe(lat)
+	}
+	if s.tr != nil {
+		s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd, Frame: f.id, Node: node})
+	}
+	if s.place != nil {
+		s.accountTier(placement.Tier(f.tier), lat)
+	}
+	if f.value >= 1-s.c.InsightFraction {
+		s.stats.InsightsDownlinked++
+		s.win.Count(window.CntInsights, 1)
+		if s.tr != nil {
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked, Frame: f.id, Node: node})
+		}
+	}
+}
+
+// deliver lands a frame at target — the next edge's queue, or ^si for
+// SµDC si's batcher.
+func (s *simulator) deliver(target int, f frame) {
+	if target >= 0 {
+		s.links[target].queue.pushBack(f)
+		s.attemptISL(target)
+		return
+	}
+	si := ^target
+	s.addToInput(si, f)
+	s.dispatch(si, false)
+}
+
 // applyPhase activates degradation phase pi: the service-rate
 // multiplier switches, and the phase's power budget parks the
 // highest-index workers of every SµDC beyond its powered complement.
@@ -855,30 +898,9 @@ func (s *simulator) applyPhase(pi int) {
 				continue
 			}
 			w.browned = true
-			if !w.busy {
-				continue
+			if w.busy {
+				s.strand(w, &d.input, cause)
 			}
-			// Strand the in-flight batch, as evWorkerDeath does.
-			w.busy = false
-			w.gen++
-			s.busySum -= w.doneAt - s.now
-			s.stats.FramesRedispatched += len(w.batch)
-			s.win.Count(window.CntRedispatched, int64(len(w.batch)))
-			if s.tr != nil {
-				for _, f := range w.batch {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
-						Frame: f.id, Node: -1, Cause: cause})
-				}
-			}
-			in := &d.input
-			for j := len(w.batch) - 1; j >= 0; j-- {
-				in.pushFront(w.batch[j])
-			}
-			if in.len() > s.stats.MaxInputQueue {
-				s.stats.MaxInputQueue = in.len()
-			}
-			s.putBatch(w.batch)
-			w.batch = nil
 		}
 	}
 	if s.browned > 0 && s.tr != nil {
@@ -1022,15 +1044,7 @@ func (s *simulator) apply(e event) {
 
 	case evArrive:
 		l := &s.links[e.who]
-		f := l.flight.popFront()
-		if l.dest >= 0 {
-			s.links[l.dest].queue.pushBack(f)
-			s.attemptISL(l.dest)
-		} else {
-			si := ^l.dest
-			s.addToInput(si, f)
-			s.dispatch(si, false)
-		}
+		s.deliver(l.dest, l.flight.popFront())
 
 	case evArriveMsg:
 		m := s.arrivals[e.who]
@@ -1040,14 +1054,7 @@ func (s *simulator) apply(e event) {
 		if s.place != nil {
 			s.queueLen[placement.TierSpace]++
 		}
-		if m.target >= 0 {
-			s.links[m.target].queue.pushBack(m.f)
-			s.attemptISL(m.target)
-		} else {
-			si := ^m.target
-			s.addToInput(si, m.f)
-			s.dispatch(si, false)
-		}
+		s.deliver(m.target, m.f)
 
 	case evISLRetry:
 		l := &s.links[e.who]
@@ -1113,29 +1120,11 @@ func (s *simulator) apply(e event) {
 		}
 		si := s.workerSudc[e.who]
 		if w.busy {
-			// The batch is stranded: return its frames to the head of the
-			// queue for re-dispatch.
-			w.busy = false
-			w.gen++
-			s.busySum -= w.doneAt - s.now
-			s.stats.FramesRedispatched += len(w.batch)
-			s.win.Count(window.CntRedispatched, int64(len(w.batch)))
+			cause := ""
 			if s.tr != nil {
-				cause := fmt.Sprintf("node-death#%d", e.who)
-				for _, f := range w.batch {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
-						Frame: f.id, Node: -1, Cause: cause})
-				}
+				cause = fmt.Sprintf("node-death#%d", e.who)
 			}
-			in := &s.sudcs[si].input
-			for i := len(w.batch) - 1; i >= 0; i-- {
-				in.pushFront(w.batch[i])
-			}
-			if in.len() > s.stats.MaxInputQueue {
-				s.stats.MaxInputQueue = in.len()
-			}
-			s.putBatch(w.batch)
-			w.batch = nil
+			s.strand(w, &s.sudcs[si].input, cause)
 		}
 		s.recount()
 		s.dispatch(si, false)
@@ -1184,26 +1173,7 @@ func (s *simulator) apply(e event) {
 				Node: e.who, N: len(w.batch)})
 		}
 		for _, f := range w.batch {
-			s.latencies = append(s.latencies, s.now-f.born)
-			s.win.Latency(s.now - f.born)
-			if s.rec != nil {
-				s.rec.latency.Observe(s.now - f.born)
-			}
-			if s.tr != nil {
-				s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd,
-					Frame: f.id, Node: e.who})
-			}
-			if s.place != nil {
-				s.accountTier(placement.Tier(f.tier), s.now-f.born)
-			}
-			if f.value >= 1-s.c.InsightFraction {
-				s.stats.InsightsDownlinked++
-				s.win.Count(window.CntInsights, 1)
-				if s.tr != nil {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked,
-						Frame: f.id, Node: e.who})
-				}
-			}
+			s.frameDone(f, e.who)
 		}
 		s.putBatch(w.batch)
 		w.batch = nil
@@ -1232,41 +1202,22 @@ func (s *simulator) apply(e event) {
 		s.applyPhase(e.who)
 
 	case evOnboardDone:
-		f := s.onboardRun.popFront()
-		s.onboardBusy--
-		s.completePlaced(f)
-		if s.onboardQ.len() > 0 {
-			s.onboardBusy++
-			s.startPlaced(&s.onboardRun, s.onboardQ.popFront(), evOnboardDone, s.onboardSvc)
-		}
+		s.serve(&s.onboard)
 
 	case evDownlinkDone:
 		s.downlinkDone()
 
 	case evEdgeArrive:
-		f := s.edgeWait.popFront()
-		if s.edgeBusy < s.place.EdgeServers {
-			s.edgeBusy++
-			s.startPlaced(&s.edgeRun, f, evEdgeDone, s.edgeSvc)
-		} else {
-			s.edgeQ.pushBack(f)
-		}
+		s.admit(&s.edge, s.edgeWait.popFront())
 
 	case evCloudArrive:
-		// The elastic cloud never queues: service starts on arrival.
-		s.startPlaced(&s.cloudRun, s.cloudWait.popFront(), evCloudDone, s.cloudSvc)
+		s.admit(&s.cloud, s.cloudWait.popFront())
 
 	case evEdgeDone:
-		f := s.edgeRun.popFront()
-		s.edgeBusy--
-		s.completePlaced(f)
-		if s.edgeQ.len() > 0 {
-			s.edgeBusy++
-			s.startPlaced(&s.edgeRun, s.edgeQ.popFront(), evEdgeDone, s.edgeSvc)
-		}
+		s.serve(&s.edge)
 
 	case evCloudDone:
-		s.completePlaced(s.cloudRun.popFront())
+		s.serve(&s.cloud)
 	}
 }
 

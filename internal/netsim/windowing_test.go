@@ -14,6 +14,7 @@ import (
 	"sudc/internal/obs/slo"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/topo"
 )
 
 // windowConfig is the shared degraded+faulted legacy scenario with
@@ -108,39 +109,58 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 }
 
 func TestWindowsFromTraceMatchesNative(t *testing.T) {
-	c := windowConfig()
-	rec := trace.New(0)
-	c.Trace = rec
-	var native []window.Window
-	c.OnWindow = func(w window.Window) { native = append(native, w) }
-	if _, err := Run(c); err != nil {
+	// The star and a multi-cell Walker graph, both under faults and
+	// COTS degradation: every run seals its windows by folding the cell
+	// fragments in (index, cell) order, the fold the trace replay uses.
+	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
 	}
+	walker := windowConfig()
+	walker.Topology = g
+	walker.Workers, walker.NeedWorkers, walker.Constellation.Satellites = 0, 0, 0
+	for _, tc := range []struct {
+		name string
+		c    Config
+	}{{"star", windowConfig()}, {"walker", walker}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			rec := trace.New(0)
+			c.Trace = rec
+			var native []window.Window
+			c.OnWindow = func(w window.Window) { native = append(native, w) }
+			if _, err := Run(c); err != nil {
+				t.Fatal(err)
+			}
 
-	derived := slo.WindowsFromTrace(rec, c.Window.Seconds(), c.Duration.Seconds(),
-		c.Workers, c.NeedWorkers)
-	if len(derived) != len(native) {
-		t.Fatalf("trace reconstruction has %d windows, native stream %d", len(derived), len(native))
-	}
-	// Counters, latency buckets, and sample counts are integer-exact
-	// between the live stream and the trace replay; occupancy integrals
-	// are reconstructions (eclipse ≈ brownout) and are checked loosely.
-	for i := range native {
-		n, d := native[i], derived[i]
-		if d.Index != n.Index {
-			t.Fatalf("window %d: derived index %d, native %d", i, d.Index, n.Index)
-		}
-		if d.Counts != n.Counts {
-			t.Errorf("w%d counts differ:\n trace %v\n native %v", n.Index, d.Counts, n.Counts)
-		}
-		if d.Lat != n.Lat || d.LatCount != n.LatCount {
-			t.Errorf("w%d latency histogram differs:\n trace %v (%d)\n native %v (%d)",
-				n.Index, d.Lat, d.LatCount, n.Lat, n.LatCount)
-		}
-		if (n.ThrottleSec > 0) != (d.ThrottleSec > 0) {
-			t.Errorf("w%d throttle occupancy: trace %v s, native %v s",
-				n.Index, d.ThrottleSec, n.ThrottleSec)
-		}
+			derived := slo.WindowsFromTrace(rec, c.Window.Seconds(), c.Duration.Seconds(),
+				c.Workers, c.NeedWorkers)
+			if len(derived) != len(native) {
+				t.Fatalf("trace reconstruction has %d windows, native stream %d", len(derived), len(native))
+			}
+			// Counters, latency buckets, sample counts, and latency sums
+			// are exact between the live stream and the trace replay;
+			// occupancy integrals are reconstructions (eclipse ≈ brownout)
+			// and are checked loosely.
+			for i := range native {
+				n, d := native[i], derived[i]
+				if d.Index != n.Index || d.Cells != n.Cells {
+					t.Fatalf("window %d: derived index %d over %d cells, native %d over %d",
+						i, d.Index, d.Cells, n.Index, n.Cells)
+				}
+				if d.Counts != n.Counts {
+					t.Errorf("w%d counts differ:\n trace %v\n native %v", n.Index, d.Counts, n.Counts)
+				}
+				if d.Lat != n.Lat || d.LatCount != n.LatCount || d.LatSum != n.LatSum {
+					t.Errorf("w%d latency histogram differs:\n trace %v (%d, Σ %v)\n native %v (%d, Σ %v)",
+						n.Index, d.Lat, d.LatCount, d.LatSum, n.Lat, n.LatCount, n.LatSum)
+				}
+				if (n.ThrottleSec > 0) != (d.ThrottleSec > 0) {
+					t.Errorf("w%d throttle occupancy: trace %v s, native %v s",
+						n.Index, d.ThrottleSec, n.ThrottleSec)
+				}
+			}
+		})
 	}
 }
 

@@ -65,14 +65,19 @@ type Objective struct {
 	Target float64
 }
 
-// Config declares the objectives and the burn-rate alert policy.
+// The burn-rate alert policy: an alert fires when the burn averaged
+// over the last fastWindows windows reaches fastBurn and the average
+// over the last slowWindows reaches slowBurn.
+const (
+	fastWindows = 1
+	slowWindows = 6
+	fastBurn    = 4.0
+	slowBurn    = 1.0
+)
+
+// Config declares the objectives.
 type Config struct {
 	Objectives []Objective
-	// FastWindows and SlowWindows are the two burn-averaging horizons
-	// in windows; an alert fires when both averages exceed their
-	// thresholds (FastBurn, SlowBurn). Zero values take the defaults.
-	FastWindows, SlowWindows int
-	FastBurn, SlowBurn       float64
 	// CostFloor is the placement oracle's $/frame floor; 0 leaves the
 	// cost objective dormant (netsim fills it from the placement model).
 	CostFloor float64
@@ -88,34 +93,15 @@ func DefaultObjectives() []Objective {
 	}
 }
 
-// DefaultConfig pairs the standard objectives with a 1-window fast /
-// 6-window slow burn policy: the fast average must burn ≥ 4× budget
-// and the slow average ≥ 1× for an alert to fire.
+// DefaultConfig is the standard objective set.
 func DefaultConfig() Config {
-	return Config{
-		Objectives:  DefaultObjectives(),
-		FastWindows: 1, SlowWindows: 6,
-		FastBurn: 4, SlowBurn: 1,
-	}
+	return Config{Objectives: DefaultObjectives()}
 }
 
-// withDefaults fills zero policy fields.
+// withDefaults fills an empty objective list with the standard set.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if len(c.Objectives) == 0 {
-		c.Objectives = d.Objectives
-	}
-	if c.FastWindows <= 0 {
-		c.FastWindows = d.FastWindows
-	}
-	if c.SlowWindows <= 0 {
-		c.SlowWindows = d.SlowWindows
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = d.FastBurn
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = d.SlowBurn
+		c.Objectives = DefaultObjectives()
 	}
 	return c
 }
@@ -132,9 +118,6 @@ func (c Config) Validate() error {
 		if o.Target <= 0 || (o.Kind == Availability && o.Target > 1) {
 			return fmt.Errorf("slo: objective %q has invalid target %v", o.Name, o.Target)
 		}
-	}
-	if c.FastWindows < 0 || c.SlowWindows < 0 {
-		return fmt.Errorf("slo: negative burn horizons %d/%d", c.FastWindows, c.SlowWindows)
 	}
 	return nil
 }
@@ -222,7 +205,7 @@ type Engine struct {
 	attained int
 }
 
-// New builds an engine; zero policy fields take the defaults.
+// New builds an engine; an empty objective list takes the defaults.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
@@ -255,9 +238,9 @@ func (e *Engine) Observe(w window.Window) []Alert {
 	for i, o := range e.cfg.Objectives {
 		value, burn, active := o.eval(&w, e.cfg.CostFloor)
 		e.burns[i] = append(e.burns[i], burn)
-		fast := avgTail(e.burns[i], e.cfg.FastWindows)
-		slow := avgTail(e.burns[i], e.cfg.SlowWindows)
-		alerting := active && fast >= e.cfg.FastBurn && slow >= e.cfg.SlowBurn
+		fast := avgTail(e.burns[i], fastWindows)
+		slow := avgTail(e.burns[i], slowWindows)
+		alerting := active && fast >= fastBurn && slow >= slowBurn
 		if active && burn > 1 {
 			within = false
 		}
@@ -363,7 +346,7 @@ func Attribute(a *window.Agg) string {
 func WriteReport(out io.Writer, cfg Config, wins []window.Window, rep Report) {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(out, "SLO report: %d windows, %d objectives, burn policy fast %dw ≥ %.1f / slow %dw ≥ %.1f\n",
-		rep.Windows, len(cfg.Objectives), cfg.FastWindows, cfg.FastBurn, cfg.SlowWindows, cfg.SlowBurn)
+		rep.Windows, len(cfg.Objectives), fastWindows, fastBurn, slowWindows, slowBurn)
 	fmt.Fprintf(out, "  %-6s %-18s %6s %6s %7s %8s %7s %9s  %s\n",
 		"window", "span", "gen", "done", "avail", "p99", "loss", "$/frame", "burn")
 	evalsAt := func(i int) []Eval {

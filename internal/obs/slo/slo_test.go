@@ -35,8 +35,7 @@ func mkWindow(index int, avail float64, gen, done int64, lat float64) window.Win
 
 func TestBurnAlertFiresOnRisingEdgeOnly(t *testing.T) {
 	cfg := Config{
-		Objectives:  []Objective{{Name: "availability", Kind: Availability, Target: 0.99}},
-		FastWindows: 1, SlowWindows: 6, FastBurn: 4, SlowBurn: 1,
+		Objectives: []Objective{{Name: "availability", Kind: Availability, Target: 0.99}},
 	}
 	wins := []window.Window{
 		mkWindow(0, 1, 10, 10, 1),    // healthy
@@ -64,8 +63,7 @@ func TestSlowBurnSuppressesBlip(t *testing.T) {
 	// A long healthy history drags the slow average below 1, so one bad
 	// window (fast over threshold) must not alert.
 	cfg := Config{
-		Objectives:  []Objective{{Name: "availability", Kind: Availability, Target: 0.99}},
-		FastWindows: 1, SlowWindows: 6, FastBurn: 4, SlowBurn: 1,
+		Objectives: []Objective{{Name: "availability", Kind: Availability, Target: 0.99}},
 	}
 	var wins []window.Window
 	for i := 0; i < 5; i++ {
@@ -118,7 +116,6 @@ func TestValidate(t *testing.T) {
 		{Objectives: []Objective{{Name: "a", Kind: Kind(99), Target: 0.9}}},
 		{Objectives: []Objective{{Name: "a", Kind: Availability, Target: 1.5}}},
 		{Objectives: []Objective{{Name: "a", Kind: LossRate, Target: 0}}},
-		{FastWindows: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

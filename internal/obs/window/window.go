@@ -1,18 +1,16 @@
-// Package window provides watermark-correct windowed aggregation for
-// the DES: tumbling sim-time windows of event counters, environment
-// occupancy (eclipse, throttle, brownout, ISL outage, up-time), and
-// fixed-bucket latency quantiles.
+// Package window provides windowed aggregation for the DES: tumbling
+// sim-time windows of event counters, environment occupancy (eclipse,
+// throttle, brownout, ISL outage, up-time), and fixed-bucket latency
+// quantiles.
 //
 // Each topology cell owns a Collector that integrates occupancy along
 // its own event stream and closes a Fragment per window it crosses.
-// Fragments are merged into per-window aggregates by a Merger; the
-// shard runner drains every cell's collector at the conservative
-// cross-cell watermark (the minimum next event time across cells and
-// in-flight messages), where every cell's environment is known to be
-// constant, so the merged stream is byte-identical for any shard or
-// worker count. Merge canonicalizes fragment order by (window index,
-// cell), so batch merging is order-independent too — FuzzWindowMerge
-// pins that property.
+// Every run seals its windows once, when it ends: the fragments of all
+// cells are folded by Merge, which canonicalizes their order by
+// (window index, cell) before folding any float. The merged stream is
+// therefore byte-identical for any shard or worker count, and the
+// windows slo.WindowsFromTrace rebuilds from a recording fold the same
+// way by construction — FuzzWindowMerge pins the order independence.
 package window
 
 import (
@@ -59,7 +57,8 @@ func (c Counter) String() string {
 
 // Env is the environment a collector integrates between events. It is
 // sampled by the simulator before each Advance and must stay constant
-// over the advanced span — the watermark rule guarantees exactly that.
+// over the advanced span: the simulator advances at event times, and a
+// cell's environment only changes at its own events.
 type Env struct {
 	// Up reports full service (effective workers >= needed).
 	Up bool
@@ -293,9 +292,8 @@ func NewCollector(width float64, cell int) *Collector {
 // Advance integrates env occupancy from the last advanced time to t,
 // closing every window boundary crossed, and returns how many windows
 // closed. env must be the cell's state over the whole span — callers
-// advance at event times (state constant since the previous event) and
-// at the cross-cell watermark (state constant up to it by the
-// conservative-lookahead bound).
+// advance at event times, when the state has been constant since the
+// previous event.
 func (c *Collector) Advance(t float64, env Env) int {
 	if c == nil || t <= c.lastT {
 		return 0
@@ -402,68 +400,10 @@ func (c *Collector) Drain() []Fragment {
 	return out
 }
 
-// Merger folds fragments into per-window aggregates and releases each
-// window once the watermark passes its end. Within one window,
-// fragments must arrive in ascending cell order — the shard runner
-// drains cells in cell order at every barrier, which guarantees it.
-type Merger struct {
-	width float64
-	live  func(Window)
-	base  int
-	wins  []Window
-	done  []Window
-}
-
-// NewMerger makes a merger for the given window width; live, when
-// non-nil, observes each window as it completes.
-func NewMerger(width float64, live func(Window)) *Merger {
-	return &Merger{width: width, live: live}
-}
-
-// Add folds one fragment.
-func (m *Merger) Add(f Fragment) {
-	if len(m.wins) == 0 {
-		m.base = f.Index
-	}
-	if f.Index < m.base {
-		// A fragment for an already-flushed window violates the
-		// watermark contract; tolerate it by re-basing (tests and the
-		// fuzz target sort first, the runner never triggers this).
-		grow := m.base - f.Index
-		m.wins = append(make([]Window, grow, grow+len(m.wins)), m.wins...)
-		m.base = f.Index
-	}
-	for f.Index >= m.base+len(m.wins) {
-		m.wins = append(m.wins, Window{})
-	}
-	m.wins[f.Index-m.base].fold(m.width, &f)
-}
-
-// Flush completes every pending window whose end is at or before the
-// watermark upTo (sim seconds). Windows with no fragments are skipped.
-func (m *Merger) Flush(upTo float64) {
-	for len(m.wins) > 0 && float64(m.base+1)*m.width <= upTo {
-		w := m.wins[0]
-		m.wins = m.wins[1:]
-		m.base++
-		if w.Cells == 0 {
-			continue
-		}
-		m.done = append(m.done, w)
-		if m.live != nil {
-			m.live(w)
-		}
-	}
-}
-
-// Windows returns every completed window in index order.
-func (m *Merger) Windows() []Window {
-	return m.done
-}
-
-// Merge folds fragments from any source order into completed windows:
-// it canonicalizes by (window index, cell) first, so the result is
-// byte-identical however the per-cell fragments were interleaved.
+// Merge folds fragments from any source order into per-window
+// aggregates, returned in index order; windows no fragment covers are
+// absent. It canonicalizes by (window index, cell) first, so the result
+// is byte-identical however the per-cell fragments were interleaved.
 func Merge(width float64, frags []Fragment) []Window {
 	sorted := append([]Fragment(nil), frags...)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -472,10 +412,12 @@ func Merge(width float64, frags []Fragment) []Window {
 		}
 		return sorted[i].Cell < sorted[j].Cell
 	})
-	m := NewMerger(width, nil)
-	for _, f := range sorted {
-		m.Add(f)
+	var out []Window
+	for i := range sorted {
+		if n := len(out); n == 0 || out[n-1].Index != sorted[i].Index {
+			out = append(out, Window{})
+		}
+		out[len(out)-1].fold(width, &sorted[i])
 	}
-	m.Flush(math.Inf(1))
-	return m.Windows()
+	return out
 }

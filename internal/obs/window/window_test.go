@@ -119,63 +119,6 @@ func TestAggRatesOnEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestMergerLiveFlushMatchesBatchMerge(t *testing.T) {
-	var frags []Fragment
-	collect := func(cell int, seed int64) {
-		c := NewCollector(30, cell)
-		t := 0.0
-		for i := 0; i < 200; i++ {
-			seed = seed*6364136223846793005 + 1442695040888963407
-			t += float64(uint64(seed)%1000) / 97
-			c.Advance(t, Env{
-				Up: seed&2 != 0, Weight: 3,
-				Throttled: seed&4 != 0, Browned: seed&8 != 0,
-				Eclipse: seed&8 != 0, DownLinks: int(uint64(seed) % 3),
-			})
-			c.Count(Counter(uint64(seed)%uint64(NumCounters)), 1)
-			c.Latency(float64(uint64(seed) % 4000))
-		}
-		c.Close()
-		frags = append(frags, c.Drain()...)
-	}
-	collect(0, 11)
-	collect(1, 22)
-	collect(2, 33)
-
-	want := Merge(30, frags)
-
-	// Live path: feed fragments grouped by barrier-style (cell-major
-	// per flush round) order and flush incrementally.
-	m := NewMerger(30, nil)
-	var live []Window
-	m2 := NewMerger(30, func(w Window) { live = append(live, w) })
-	// Canonical order: sort as the runner would deliver (all cells
-	// flush every barrier, cell-ascending), which per window is cell
-	// ascending — the same as Merge's canonical order.
-	sorted := append([]Fragment(nil), frags...)
-	for i := range sorted {
-		for j := i + 1; j < len(sorted); j++ {
-			a, b := sorted[i], sorted[j]
-			if b.Index < a.Index || (b.Index == a.Index && b.Cell < a.Cell) {
-				sorted[i], sorted[j] = b, a
-			}
-		}
-	}
-	for _, f := range sorted {
-		m.Add(f)
-		m2.Add(f)
-		m2.Flush(float64(f.Index) * 30) // watermark trails the fragment
-	}
-	m.Flush(math.Inf(1))
-	m2.Flush(math.Inf(1))
-	if !reflect.DeepEqual(m.Windows(), want) {
-		t.Errorf("merger result differs from batch Merge")
-	}
-	if !reflect.DeepEqual(live, want) {
-		t.Errorf("incrementally flushed windows differ from batch Merge")
-	}
-}
-
 // FuzzWindowMerge pins the shard-merge determinism contract: merging
 // per-cell window fragments in any arrival order yields byte-identical
 // aggregates, because Merge canonicalizes by (index, cell) before
