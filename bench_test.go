@@ -130,15 +130,6 @@ func BenchmarkAblationISLLaw(b *testing.B)      { benchAblation(b, "Ablation A5"
 func BenchmarkAblationDecode(b *testing.B)      { benchAblation(b, "Ablation A6") }
 func BenchmarkAblationBatchSize(b *testing.B)   { benchAblation(b, "Ablation A7") }
 
-// BenchmarkDSE measures the full 7168-design exploration.
-func BenchmarkDSE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DSEResult(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchWorkers are the scaling points tracked PR over PR.
 var benchWorkers = []int{1, 2, 4, 8}
 

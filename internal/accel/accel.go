@@ -5,8 +5,8 @@
 // layer in the 7-loop notation, it estimates the energy of one inference
 // pass by counting accesses at each level of the storage hierarchy
 // (register file → NoC → on-chip buffers → DRAM) and pricing each access
-// with Accelergy-style per-component energies (CACTI-like √capacity
-// scaling for SRAM buffers).
+// with Accelergy-style per-component energies (CACTI-like capacity^0.7
+// scaling for SRAM buffers; NoC energy scales with √PEs).
 //
 // The row-stationary dataflow's reuse structure drives the counts:
 // weights stay in PE register files for a full output row, ifmap rows are
@@ -114,15 +114,76 @@ func (e LayerEnergy) Total() float64 {
 // Joules returns the total in joules.
 func (e LayerEnergy) Joules() float64 { return e.Total() * 1e-12 }
 
+// priced is a validated design with its design-invariant access energies
+// resolved: one access to each of the three buffers and one word over the
+// NoC. Pricing a design once keeps math.Pow out of the per-layer kernel,
+// which is what a sweep of many layers over one design pays for.
+type priced struct {
+	Config
+	eIfmap, eWeight, eAccum, eNoC float64
+}
+
+// price validates c and resolves its design-invariant access energies.
+func (c Config) price() (priced, error) {
+	if err := c.Validate(); err != nil {
+		return priced{}, err
+	}
+	return priced{
+		Config:  c,
+		eIfmap:  bufAccess(c.IfmapKB),
+		eWeight: bufAccess(c.WeightKB),
+		eAccum:  bufAccess(c.AccumKB),
+		eNoC:    nocAccess(c.PEs()),
+	}, nil
+}
+
 // LayerEnergy estimates the energy of one inference of layer l.
 func (c Config) LayerEnergy(l workload.Layer) (LayerEnergy, error) {
-	if err := c.Validate(); err != nil {
+	p, err := c.price()
+	if err != nil {
 		return LayerEnergy{}, err
 	}
 	if err := l.Validate(); err != nil {
 		return LayerEnergy{}, err
 	}
+	e, _ := p.layer(&l)
+	return e, nil
+}
 
+// EnergyRow writes the energy in joules of one inference of layers[i]
+// on c into out[i]. It prices the design once for the whole row and
+// allocates nothing, so a design-space sweep calls it once per design.
+// Each out[i] equals LayerEnergy(layers[i]).Joules() bit for bit. On
+// failure it returns the error LayerEnergy gives on the first layer that
+// fails, prefixed with that layer's name; an invalid design fails on the
+// first layer.
+func (c Config) EnergyRow(layers []workload.Layer, out []float64) error {
+	if len(out) != len(layers) {
+		return fmt.Errorf("accel: energy row has %d slots for %d layers", len(out), len(layers))
+	}
+	p, err := c.price()
+	if err != nil {
+		if len(layers) > 0 {
+			return fmt.Errorf("%s: %w", layers[0].Name, err)
+		}
+		return err
+	}
+	for i := range layers {
+		l := &layers[i]
+		if err := l.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", l.Name, err)
+		}
+		e, _ := p.layer(l)
+		out[i] = e.Joules()
+	}
+	return nil
+}
+
+// layer is the energy kernel: it evaluates a valid layer against a priced
+// design. It also returns the array cycles (MACs over mapped spatial
+// parallelism), which the timing model shares. The receiver is named c so
+// the formulas read against the design's own fields.
+func (c *priced) layer(l *workload.Layer) (e LayerEnergy, cycles float64) {
 	macs := float64(l.MACs())
 	weights := float64(l.Weights())
 	inputs := float64(l.Inputs())
@@ -168,12 +229,12 @@ func (c Config) LayerEnergy(l workload.Layer) (LayerEnergy, error) {
 	iBufReads := macs / (rowsMapped * kMapped)
 	pBufAccesses := 2 * macs * foldsY / (rowsMapped * float64(l.S) * cTemporal)
 	bufWords := wBufReads + iBufReads + pBufAccesses
-	buffer := wBufReads*bufAccess(c.WeightKB) +
-		iBufReads*bufAccess(c.IfmapKB) +
-		pBufAccesses*bufAccess(c.AccumKB)
+	buffer := wBufReads*c.eWeight +
+		iBufReads*c.eIfmap +
+		pBufAccesses*c.eAccum
 
 	// NoC: every buffer word crosses the array network.
-	noc := bufWords * nocAccess(c.PEs())
+	noc := bufWords * c.eNoC
 
 	// DRAM traffic. Weights always live in DRAM; their streaming
 	// amortizes over the processing batch (offline batch processing,
@@ -213,7 +274,7 @@ func (c Config) LayerEnergy(l workload.Layer) (LayerEnergy, error) {
 	// Static energy: the whole array burns static power for every array
 	// cycle (cycles = MACs / mapped parallelism), and the SRAM complement
 	// pays retention energy per operation at the design throughput.
-	cycles := macs / (rowsMapped * colsMapped)
+	cycles = macs / (rowsMapped * colsMapped)
 	idle := cycles*eStaticPE*float64(c.PEs()) +
 		macs*eLeakPerKB*float64(c.IfmapKB+c.WeightKB+c.AccumKB)
 
@@ -225,7 +286,7 @@ func (c Config) LayerEnergy(l workload.Layer) (LayerEnergy, error) {
 		DRAM:        dram,
 		Idle:        idle,
 		Utilization: util,
-	}, nil
+	}, cycles
 }
 
 // NetworkEnergy returns the energy of one inference of the network, in

@@ -243,3 +243,70 @@ func TestEnergyMonotoneInMACs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// suiteLayers is every layer of every network behind the Table III suite.
+func suiteLayers(tb testing.TB) []workload.Layer {
+	tb.Helper()
+	var layers []workload.Layer
+	for _, a := range workload.Suite {
+		n, err := workload.NetworkFor(a)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		layers = append(layers, n.Layers...)
+	}
+	return layers
+}
+
+func TestEnergyRowErrorsLikeLayerEnergy(t *testing.T) {
+	good := conv(64, 64, 3, 56, 1)
+	bad := workload.Layer{Name: "bad"}
+	layers := []workload.Layer{good, bad, good}
+	out := make([]float64, len(layers))
+
+	// An invalid design fails on the first layer, as LayerEnergy does.
+	_, want := (Config{}).LayerEnergy(good)
+	err := (Config{}).EnergyRow(layers, out)
+	if err == nil || want == nil || err.Error() != good.Name+": "+want.Error() {
+		t.Errorf("invalid design: EnergyRow error %v, want %q", err, good.Name+": "+want.Error())
+	}
+
+	// An invalid layer fails where LayerEnergy fails on it.
+	_, want = refConfig.LayerEnergy(bad)
+	err = refConfig.EnergyRow(layers, out)
+	if err == nil || want == nil || err.Error() != bad.Name+": "+want.Error() {
+		t.Errorf("invalid layer: EnergyRow error %v, want %q", err, bad.Name+": "+want.Error())
+	}
+
+	if err := refConfig.EnergyRow(layers[:1], out); err == nil {
+		t.Error("a row length that differs from the layer count must error")
+	}
+}
+
+func TestEnergyRowZeroAlloc(t *testing.T) {
+	layers := suiteLayers(t)
+	out := make([]float64, len(layers))
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := refConfig.EnergyRow(layers, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("EnergyRow allocates %.1f times per row, want 0", allocs)
+	}
+}
+
+// BenchmarkEnergyRow measures the batch kernel: one design priced once
+// and evaluated on every suite layer.
+func BenchmarkEnergyRow(b *testing.B) {
+	layers := suiteLayers(b)
+	out := make([]float64, len(layers))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := refConfig.EnergyRow(layers, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(layers)), "ns/layer")
+}

@@ -50,32 +50,17 @@ func (t LayerTiming) Seconds(clockHz float64) float64 {
 
 // LayerTiming estimates the cycles for one inference of layer l.
 func (c Config) LayerTiming(l workload.Layer) (LayerTiming, error) {
-	if err := c.Validate(); err != nil {
+	p, err := c.price()
+	if err != nil {
 		return LayerTiming{}, err
 	}
 	if err := l.Validate(); err != nil {
 		return LayerTiming{}, err
 	}
-	macs := float64(l.MACs())
-	rowsMapped := float64(l.R)
-	if pey := float64(c.PEY); rowsMapped > pey {
-		rowsMapped = pey
-	}
-	colsNeeded := float64(l.K)
-	if l.Depthwise {
-		colsNeeded = float64(l.C)
-	}
-	colsMapped := colsNeeded
-	if pex := float64(c.PEX); colsMapped > pex {
-		colsMapped = pex
-	}
-	e, err := c.LayerEnergy(l)
-	if err != nil {
-		return LayerTiming{}, err
-	}
+	e, cycles := p.layer(&l)
 	dramWords := e.DRAM / eDRAM
 	return LayerTiming{
-		ComputeCycles: macs / (rowsMapped * colsMapped),
+		ComputeCycles: cycles,
 		DRAMCycles:    dramWords / dramWordsPerCycle,
 		Utilization:   e.Utilization,
 	}, nil

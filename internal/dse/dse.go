@@ -189,17 +189,14 @@ func Explore(apps []workload.App, gpu accel.GPUModel) (Result, error) {
 
 	space := space()
 
-	// layers is the concatenation of all networks' layers; refs maps each
-	// global layer back to its network.
-	type layerRef struct {
-		netIdx int
-	}
+	// layers is the concatenation of all networks' layers; netOf maps
+	// each global layer back to its network.
 	var layers []workload.Layer
-	var refs []layerRef
+	var netOf []int
 	for ni, nw := range nets {
 		for _, l := range nw.net.Layers {
 			layers = append(layers, l)
-			refs = append(refs, layerRef{netIdx: ni})
+			netOf = append(netOf, ni)
 		}
 	}
 	nLayers := len(layers)
@@ -224,85 +221,93 @@ func Explore(apps []workload.App, gpu accel.GPUModel) (Result, error) {
 		shapeIdx[li] = si
 	}
 
-	// energies[c][s] = energy (J) of design c on unique shape s. Each
-	// design's row is independent, so the sweep parallelizes over designs.
-	energies := make([][]float64, len(space))
+	// Each design's work is independent, so the sweep parallelizes over
+	// designs and scores every design inside its own item:
+	//   energies[ci*nShapes+si] = energy (J) of design ci on unique shape si;
+	//   logSums[ci]             = Σ log(energy) over all layers, in layer
+	//                             order (the global geomean score);
+	//   netSums[ci*nNets+ni]    = network ni's inference energy, summed in
+	//                             layer order.
+	// Every slot has one writer, so the scores are independent of the
+	// worker count.
+	nShapes, nNets := len(shapes), len(nets)
+	energies := make([]float64, len(space)*nShapes)
+	logSums := make([]float64, len(space))
+	netSums := make([]float64, len(space)*nNets)
+	logBufs := sync.Pool{New: func() any { b := make([]float64, nShapes); return &b }}
 	err := par.ForNErr(len(space), func(ci int) error {
 		cfg := space[ci]
-		row := make([]float64, len(shapes))
-		for si, l := range shapes {
-			e, err := cfg.LayerEnergy(l)
-			if err != nil {
-				return fmt.Errorf("dse: %s on %s: %w", cfg.Name, l.Name, err)
-			}
-			row[si] = e.Joules()
+		row := energies[ci*nShapes : (ci+1)*nShapes]
+		if err := cfg.EnergyRow(shapes, row); err != nil {
+			return fmt.Errorf("dse: %s on %w", cfg.Name, err)
 		}
-		energies[ci] = row
+		logsp := logBufs.Get().(*[]float64)
+		logs := *logsp
+		for si, e := range row {
+			logs[si] = math.Log(e)
+		}
+		var logSum float64
+		sums := netSums[ci*nNets : (ci+1)*nNets]
+		for li, si := range shapeIdx {
+			logSum += logs[si]
+			sums[netOf[li]] += row[si]
+		}
+		logBufs.Put(logsp)
+		logSums[ci] = logSum
 		return nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	obs.Global().Counter("dse/designs_evaluated").Add(int64(len(space)))
-	obs.Global().Counter("dse/layer_energies").Add(int64(len(space) * len(shapes)))
-	obs.Global().Gauge("dse/networks").Set(float64(len(nets)))
+	obs.Global().Counter("dse/layer_energies").Add(int64(len(space) * nShapes))
+	obs.Global().Gauge("dse/networks").Set(float64(nNets))
 
 	// Global optimum: minimize geomean energy across all layers (the
 	// paper: "geometric mean of each design's energy efficiency on all
-	// neural network layers").
+	// neural network layers"). Per-network optima: minimize the network's
+	// total inference energy (the metric the per-network system actually
+	// pays). Ties keep the lowest design index.
 	bestGlobal, bestGlobalScore := 0, math.Inf(1)
-	for ci := range space {
-		var logSum float64
-		for li := 0; li < nLayers; li++ {
-			logSum += math.Log(energies[ci][shapeIdx[li]])
-		}
-		if logSum < bestGlobalScore {
-			bestGlobalScore = logSum
-			bestGlobal = ci
-		}
-	}
-
-	// Per-network optima: minimize the network's total inference energy
-	// (the metric the per-network system actually pays). Per-layer: sum
-	// of per-layer minima.
-	perNetBest := make([]int, len(nets))
-	perNetScore := make([]float64, len(nets))
+	perNetBest := make([]int, nNets)
+	perNetScore := make([]float64, nNets)
 	for i := range perNetScore {
 		perNetScore[i] = math.Inf(1)
 	}
+	// Per-layer: sum of per-layer minima. A layer's minimum is its
+	// shape's minimum over designs, taken row by row.
+	shapeMin := make([]float64, nShapes)
+	for i := range shapeMin {
+		shapeMin[i] = math.Inf(1)
+	}
 	for ci := range space {
-		sums := make([]float64, len(nets))
-		for li := 0; li < nLayers; li++ {
-			sums[refs[li].netIdx] += energies[ci][shapeIdx[li]]
+		if logSums[ci] < bestGlobalScore {
+			bestGlobalScore = logSums[ci]
+			bestGlobal = ci
 		}
-		for ni := range nets {
-			if sums[ni] < perNetScore[ni] {
-				perNetScore[ni] = sums[ni]
+		for ni, sum := range netSums[ci*nNets : (ci+1)*nNets] {
+			if sum < perNetScore[ni] {
+				perNetScore[ni] = sum
 				perNetBest[ni] = ci
 			}
 		}
-	}
-	perLayerMin := make([]float64, nLayers)
-	for li := 0; li < nLayers; li++ {
-		min := math.Inf(1)
-		for ci := range space {
-			if e := energies[ci][shapeIdx[li]]; e < min {
-				min = e
+		for si, e := range energies[ci*nShapes : (ci+1)*nShapes] {
+			if e < shapeMin[si] {
+				shapeMin[si] = e
 			}
 		}
-		perLayerMin[li] = min
 	}
 
 	// Assemble per-network results.
-	results := make([]NetworkResult, len(nets))
-	globalJ := make([]float64, len(nets))
-	perNetJ := make([]float64, len(nets))
-	perLayerJ := make([]float64, len(nets))
-	for li := 0; li < nLayers; li++ {
-		ni := refs[li].netIdx
-		globalJ[ni] += energies[bestGlobal][shapeIdx[li]]
-		perNetJ[ni] += energies[perNetBest[ni]][shapeIdx[li]]
-		perLayerJ[ni] += perLayerMin[li]
+	results := make([]NetworkResult, nNets)
+	globalJ := make([]float64, nNets)
+	perNetJ := make([]float64, nNets)
+	perLayerJ := make([]float64, nNets)
+	for li, si := range shapeIdx {
+		ni := netOf[li]
+		globalJ[ni] += energies[bestGlobal*nShapes+si]
+		perNetJ[ni] += energies[perNetBest[ni]*nShapes+si]
+		perLayerJ[ni] += shapeMin[si]
 	}
 	for ni, nw := range nets {
 		gpuJ, err := gpu.NetworkEnergy(nw.net, nw.app.GPUUtilization)
